@@ -4,7 +4,8 @@ The splitting solver walks candidate f lists in ascending lexicographic
 order with exact mass bounds and prefix pruning, so the reported witness is
 the smallest one.  The completion solver reuses it through the translation;
 an independent direct enumeration cross-checks the existence verdict.
-Reports are deterministic, including under parallel fan-out.
+Reports are deterministic.  ``workers`` is accepted and validated, and the
+search is sequential for every value.
 """
 
 from majorchain import (
@@ -33,7 +34,7 @@ print("witness:", [f.parts for f in report.certificate.fs])
 print("report JSON:")
 print(dumps(solve_report_to_obj(report)))
 
-# The same searches fan out to workers without changing a single field.
+# ``workers`` is validated but the search stays sequential: same report.
 assert solve_lemma(inst, workers=4) == report
 
 # Completion instances: translated search vs direct enumeration.

@@ -105,14 +105,13 @@ def _cmd_solve(args) -> int:
             if report.outcome == ABORTED:
                 return EXIT_BUDGET
             return EXIT_OK if report.outcome == FOUND else EXIT_FAILED
-        premise = inst.premise_holds
         report = solve_lemma(inst, budget=args.budget, workers=args.workers)
         _emit(jsonio.solve_report_to_obj(report))
         if report.outcome == ABORTED:
             return EXIT_BUDGET
         if report.outcome == FOUND:
             return EXIT_OK
-        if premise:
+        if inst.premise_holds:
             artifact = jsonio.write_contradiction_report(inst, report, args.report_dir)
             sys.stderr.write(
                 "contradiction: the premise holds but no splitting exists; "
@@ -121,12 +120,11 @@ def _cmd_solve(args) -> int:
             return EXIT_CONTRADICTION
         return EXIT_FAILED
     inst = jsonio.parse_theorem_instance(data)
-    premise_checks = check_theorem_premises(inst)
-    if not all(check.holds is True for check in premise_checks):
+    if not inst.premise_holds:
         _emit(
             {
                 "error": "premises do not hold",
-                "checks": jsonio.transcript_to_obj(premise_checks),
+                "checks": jsonio.transcript_to_obj(check_theorem_premises(inst)),
             }
         )
         return EXIT_FAILED
@@ -239,7 +237,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--instance", required=True, metavar="FILE")
     add_mode(p_solve)
     p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N")
-    p_solve.add_argument("--workers", type=int, default=1, metavar="N")
+    p_solve.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="accepted and validated (a positive integer); the search is sequential",
+    )
     p_solve.add_argument(
         "--weight",
         type=int,

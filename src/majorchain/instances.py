@@ -117,6 +117,11 @@ class TheoremInstance:
         """All factors of the instance, in the canonical (label) order."""
         return self.gamma.factors
 
+    @cached_property
+    def premise_holds(self) -> bool:
+        """Whether both chain-completion premises hold (see check_theorem_premises)."""
+        return _verdict(check_theorem_premises(self))
+
     def canonical_key(self):
         rows = sorted(
             (
@@ -254,7 +259,7 @@ def check_theorem_premises(inst: TheoremInstance) -> list[ConditionCheck]:
 
 
 def verify_theorem_premises(inst: TheoremInstance) -> bool:
-    return _verdict(check_theorem_premises(inst))
+    return inst.premise_holds
 
 
 def check_theorem_conclusion(

@@ -12,12 +12,6 @@ reports are machine independent.  When the node budget would be exceeded
 the search stops with an ``aborted`` outcome and ``nodes`` equal to the
 budget.
 
-A search may fan out the subtrees under the first position to parallel
-workers.  Subtree results are merged back in the canonical (ascending)
-order with node counts summed exactly as the sequential search would have
-accumulated them, so outcome, certificate and node count are identical for
-any worker count.
-
 Every found certificate is passed through the public verifier before being
 reported; a disagreement would be an engine bug and raises RuntimeError.
 """
@@ -26,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import insort
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .chains import PolyChain
@@ -83,7 +76,7 @@ class _BudgetHit(Exception):
 
 
 def _run(search, budget: int, workers: int, trace=None):
-    """Run a search, sequentially or with speculative parallel subtrees."""
+    """Search each first-position subtree in turn; ``workers`` is only validated."""
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
@@ -93,33 +86,15 @@ def _run(search, budget: int, workers: int, trace=None):
         if solution is None:
             return NO_SOLUTION, None, 0
         return FOUND, solution, 0
-    roots = search.root_values()
-    if workers == 1 or len(roots) <= 1 or trace is not None:
-        remaining = budget
-        consumed = 0
-        for value in roots:
-            status, solution, nodes = search.dfs_from(value, remaining, trace)
-            consumed += nodes
-            if status == "aborted":
-                return ABORTED, None, consumed
-            if status == "found":
-                return FOUND, solution, consumed
-            remaining -= nodes
-        return NO_SOLUTION, None, consumed
-    # Speculative mode: every subtree runs with the full budget, then the
-    # results are replayed in canonical order against the real budget, which
-    # reproduces the sequential report exactly.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(search.dfs_from, value, budget, None) for value in roots]
-        results = [future.result() for future in futures]
     remaining = budget
     consumed = 0
-    for status, solution, nodes in results:
-        if status == "aborted" or nodes > remaining:
-            return ABORTED, None, budget
-        if status == "found":
-            return FOUND, solution, consumed + nodes
+    for value in search.root_values():
+        status, solution, nodes = search.dfs_from(value, remaining, trace)
         consumed += nodes
+        if status == "aborted":
+            return ABORTED, None, consumed
+        if status == "found":
+            return FOUND, solution, consumed
         remaining -= nodes
     return NO_SOLUTION, None, consumed
 

@@ -1,0 +1,111 @@
+"""One sequential search per solve, and one premise verdict per theorem instance."""
+
+import threading
+
+import pytest
+
+import majorchain.cli
+import majorchain.instances
+from majorchain import (
+    Factor,
+    LemmaInstance,
+    Partition,
+    PolyChain,
+    TheoremInstance,
+    jsonio,
+    solve_lemma,
+    solve_theorem,
+    solve_theorem_direct,
+    verify_theorem_premises,
+)
+from majorchain.cli import cli_dispatch
+
+
+def running_instance():
+    x = Factor("x")
+    alpha = PolyChain(1, {x: (1,)})
+    gamma = PolyChain(3, {x: (0, 1, 2)})
+    return TheoremInstance(alpha, gamma, Partition([0]), Partition([0]), m=1, p=1)
+
+
+def two_root_instance():
+    # The first position takes the values 4 and 5; the subtree under 4 holds
+    # no splitting, so the search finds its certificate under the second root.
+    return LemmaInstance(
+        (
+            (Partition([6, 4]), Partition([3, 3])),
+            (Partition([3, 3, 1]), Partition([3, 3, 1])),
+        ),
+        Partition([2]),
+        Partition([1, 1]),
+    )
+
+
+@pytest.fixture
+def premise_evaluations(monkeypatch):
+    """Count calls of check_theorem_premises, under both names it is bound to."""
+    calls = []
+    original = majorchain.instances.check_theorem_premises
+
+    def counting(inst):
+        calls.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(majorchain.instances, "check_theorem_premises", counting)
+    monkeypatch.setattr(majorchain.cli, "check_theorem_premises", counting)
+    return calls
+
+
+class TestOnePremiseVerdict:
+    def test_library_entry_points_share_one_evaluation(self, premise_evaluations):
+        inst = running_instance()
+        assert solve_theorem(inst).found
+        assert solve_theorem_direct(inst).found
+        assert verify_theorem_premises(inst)
+        assert len(premise_evaluations) == 1
+
+    def test_cli_theorem_solve_evaluates_once(
+        self, premise_evaluations, capsys, tmp_path
+    ):
+        path = tmp_path / "instance.json"
+        path.write_text(
+            jsonio.dumps(jsonio.theorem_instance_to_obj(running_instance())),
+            encoding="utf-8",
+        )
+        code = cli_dispatch(["solve", "--mode", "theorem", "--instance", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        assert len(premise_evaluations) == 1
+
+
+class TestWorkersArgument:
+    @pytest.mark.parametrize("workers", [0, -1, True, 1.0])
+    def test_invalid_workers_raise(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            solve_lemma(two_root_instance(), workers=workers)
+
+    def test_cli_rejects_zero_workers(self, capsys, tmp_path):
+        path = tmp_path / "lemma.json"
+        path.write_text(
+            jsonio.dumps(jsonio.lemma_instance_to_obj(two_root_instance())),
+            encoding="utf-8",
+        )
+        code = cli_dispatch(
+            ["solve", "--mode", "lemma", "--instance", str(path), "--workers", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "workers" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_workers_start_no_threads(self, monkeypatch):
+        inst = two_root_instance()
+        sequential = solve_lemma(inst, workers=1)
+
+        def refuse(self):
+            raise AssertionError("the search started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert solve_lemma(inst, workers=4) == sequential
+        assert sequential.found and sequential.nodes == 6
