@@ -20,6 +20,10 @@ Position conventions, used by every function below:
 Reading a factor's exponents from position L down to position 1 yields a
 partition (the elementary-divisor partition of that factor), which is how
 chains and partitions are converted into each other.
+
+Storage is indexed by factor label: a chain keeps a dict from label to
+exponent vector next to the label-sorted tuple of its factors, so reading a
+factor's exponents is one lookup, not a scan over the factors.
 """
 
 from __future__ import annotations
@@ -56,13 +60,16 @@ class Factor:
 class PolyChain:
     """Immutable chain: a length and one exponent vector per factor.
 
-    The constructor checks shapes (vector lengths, nonnegative entries,
-    unique labels) but not the divisibility invariant; use
-    :func:`chain_validate` for that, so that candidate chains read from
-    files can be checked rather than rejected at construction.
+    The vectors are held in a dict keyed by factor label, in label order,
+    beside the label-sorted tuple of factors; both orders are the canonical
+    one, whatever order the input came in.  The constructor checks shapes
+    (vector lengths, nonnegative entries, unique labels) but not the
+    divisibility invariant; use :func:`chain_validate` for that, so that
+    candidate chains read from files can be checked rather than rejected at
+    construction.
     """
 
-    __slots__ = ("_length", "_rows")
+    __slots__ = ("_length", "_factors", "_vectors")
 
     def __init__(
         self,
@@ -72,14 +79,13 @@ class PolyChain:
         if isinstance(length, bool) or not isinstance(length, int) or length < 0:
             raise ValueError(f"chain length must be a nonnegative integer, got {length!r}")
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        rows = []
-        labels = set()
+        factors = []
+        vectors = {}
         for factor, vector in items:
             if not isinstance(factor, Factor):
                 raise ValueError(f"expected a Factor, got {factor!r}")
-            if factor.label in labels:
+            if factor.label in vectors:
                 raise ValueError(f"duplicate factor label {factor.label!r}")
-            labels.add(factor.label)
             vec = tuple(vector)
             if len(vec) != length:
                 raise LengthMismatch(
@@ -91,10 +97,12 @@ class PolyChain:
                         f"factor {factor.label!r}: exponent at position {pos + 1} "
                         f"must be a nonnegative integer, got {e!r}"
                     )
-            rows.append((factor, vec))
-        rows.sort(key=lambda row: row[0].label)
+            factors.append(factor)
+            vectors[factor.label] = vec
+        factors.sort(key=lambda factor: factor.label)
         self._length = length
-        self._rows = tuple(rows)
+        self._factors = tuple(factors)
+        self._vectors = {factor.label: vectors[factor.label] for factor in factors}
 
     @property
     def length(self) -> int:
@@ -103,24 +111,22 @@ class PolyChain:
     @property
     def factors(self) -> tuple[Factor, ...]:
         """The factors, sorted by label. This order is the canonical one."""
-        return tuple(factor for factor, _ in self._rows)
+        return self._factors
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(factor.label for factor, _ in self._rows)
+        return tuple(self._vectors)
 
     def degree_of(self, label: str) -> int | None:
-        for factor, _ in self._rows:
+        for factor in self._factors:
             if factor.label == label:
                 return factor.degree
         return None
 
     def exponent_vector(self, label: str) -> tuple[int, ...]:
         """Exponents at positions 1..L; all zeros for an absent factor."""
-        for factor, vec in self._rows:
-            if factor.label == label:
-                return vec
-        return (0,) * self._length
+        vec = self._vectors.get(label)
+        return (0,) * self._length if vec is None else vec
 
     def exponent(self, label: str, position: int) -> int:
         """Exponent of ``label`` at a 1-based ``position``.
@@ -170,14 +176,18 @@ class PolyChain:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PolyChain):
-            return self._length == other._length and self._rows == other._rows
+            return (
+                self._length == other._length
+                and self._factors == other._factors
+                and self._vectors == other._vectors
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._length, self._rows))
+        return hash((self._length, self._factors, tuple(self._vectors.values())))
 
     def __repr__(self) -> str:
-        table = ", ".join(f"{factor.label}:{list(vec)}" for factor, vec in self._rows)
+        table = ", ".join(f"{label}:{list(vec)}" for label, vec in self._vectors.items())
         return f"PolyChain(length={self._length}, {{{table}}})"
 
 
@@ -186,17 +196,10 @@ def chain_validate(chain: PolyChain) -> bool:
 
     That is exactly the condition for each chain entry to divide the next.
     """
-    for label in chain.labels:
-        vec = chain.exponent_vector(label)
+    for vec in chain._vectors.values():
         if any(vec[i] > vec[i + 1] for i in range(len(vec) - 1)):
             return False
     return True
-
-
-def _merged_labels(delta: PolyChain, epsilon: PolyChain) -> list[str]:
-    seen = dict.fromkeys(epsilon.labels)
-    seen.update(dict.fromkeys(delta.labels))
-    return sorted(seen)
 
 
 def _merged_degrees(delta: PolyChain, epsilon: PolyChain) -> dict[str, int]:
@@ -228,13 +231,35 @@ def interlace_check(delta: PolyChain, epsilon: PolyChain, y: int) -> bool:
             f"expected the outer chain to have length {delta.length} + {y}, "
             f"got {epsilon.length}"
         )
-    for label in _merged_labels(delta, epsilon):
+    for label in delta._vectors.keys() | epsilon._vectors.keys():
         dvec = delta.exponent_vector(label)
         evec = epsilon.exponent_vector(label)
         for i in range(delta.length):
             if not evec[i] <= dvec[i] <= evec[i + y]:
                 return False
     return True
+
+
+def _lcm_degrees(delta: PolyChain, epsilon: PolyChain, shifts: range) -> list[int]:
+    """pi_degree(i, delta, epsilon) for each i in ``shifts``, in one pass.
+
+    The merged factor degrees and each label's pair of vectors are fetched
+    once for all shifts.  At shift i, positions j <= i pair epsilon(j) with
+    the constant 1, so they contribute epsilon's exponents alone; the rest
+    pair delta(j-i) with epsilon(j).
+    """
+    delta_zeros = (0,) * delta.length
+    epsilon_zeros = (0,) * epsilon.length
+    totals = [0] * len(shifts)
+    for label, degree in _merged_degrees(delta, epsilon).items():
+        dvec = delta._vectors.get(label, delta_zeros)
+        evec = epsilon._vectors.get(label, epsilon_zeros)
+        for slot, i in enumerate(shifts):
+            total = sum(evec[:i])
+            for d_exp, e_exp in zip(dvec, evec[i:]):
+                total += d_exp if d_exp >= e_exp else e_exp
+            totals[slot] += degree * total
+    return totals
 
 
 def pi_degree(i: int, delta: PolyChain, epsilon: PolyChain) -> int:
@@ -254,17 +279,7 @@ def pi_degree(i: int, delta: PolyChain, epsilon: PolyChain) -> int:
         )
     if isinstance(i, bool) or not isinstance(i, int) or i < 0 or i > y:
         raise IndexOutOfRange(f"shift {i!r} outside 0..{y}")
-    degrees = _merged_degrees(delta, epsilon)
-    total = 0
-    x = delta.length
-    for label, degree in degrees.items():
-        dvec = delta.exponent_vector(label)
-        evec = epsilon.exponent_vector(label)
-        for j in range(1, x + i + 1):
-            d_exp = dvec[j - i - 1] if j - i >= 1 else 0
-            e_exp = evec[j - 1]
-            total += degree * (d_exp if d_exp >= e_exp else e_exp)
-    return total
+    return _lcm_degrees(delta, epsilon, range(i, i + 1))[0]
 
 
 def sigma_degree_sequence(delta: PolyChain, epsilon: PolyChain, y: int) -> Partition:
@@ -275,13 +290,22 @@ def sigma_degree_sequence(delta: PolyChain, epsilon: PolyChain, y: int) -> Parti
     not, a precondition was violated upstream and :class:`NotAPartition` is
     raised.  Calling this on a pair that fails :func:`interlace_check` is an
     error, not a defined value.
+
+    Cost: the sandwich check, then one pass over the k merged factors that
+    computes all y+1 lcm-product degrees, O(x+y) per factor and shift, so
+    O(k*y*(x+y)) for inner length x.
     """
     if not interlace_check(delta, epsilon, y):
         raise InterlaceViolation(
             "the divisibility sandwich does not hold; the degree sequence is "
             "undefined for this pair"
         )
-    pis = [pi_degree(i, delta, epsilon) for i in range(y + 1)]
+    return _sigma_of_sandwich(delta, epsilon, y)
+
+
+def _sigma_of_sandwich(delta: PolyChain, epsilon: PolyChain, y: int) -> Partition:
+    """:func:`sigma_degree_sequence` for a pair whose sandwich the caller has checked."""
+    pis = _lcm_degrees(delta, epsilon, range(y + 1))
     steps = [pis[i] - pis[i - 1] for i in range(y, 0, -1)]
     try:
         return Partition(steps)
@@ -303,11 +327,10 @@ def sigma_identity_rhs(delta: PolyChain, epsilon: PolyChain, y: int) -> Partitio
             f"expected the outer chain to have length {delta.length} + {y}, "
             f"got {epsilon.length}"
         )
-    degrees = _merged_degrees(delta, epsilon)
     total = Partition()
-    for label in _merged_labels(delta, epsilon):
+    for label, degree in sorted(_merged_degrees(delta, epsilon).items()):
         inner = dual(delta.factor_partition(label))
         outer = dual(epsilon.factor_partition(label))
         term = dual(diff_sorted(outer, inner))
-        total = plus(total, scaled(term, degrees[label]))
+        total = plus(total, scaled(term, degree))
     return total

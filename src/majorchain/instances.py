@@ -29,9 +29,9 @@ from typing import Iterable
 from .chains import (
     Factor,
     PolyChain,
+    _sigma_of_sandwich,
     chain_validate,
     interlace_check,
-    sigma_degree_sequence,
 )
 from .errors import (
     ConclusionViolation,
@@ -104,11 +104,11 @@ class TheoremInstance:
     def n(self) -> int:
         return self.alpha.length
 
-    @property
+    @cached_property
     def c_plus(self) -> Partition:
         return _shifted_indices(self.c, self.m)
 
-    @property
+    @cached_property
     def r_plus(self) -> Partition:
         return _shifted_indices(self.r, self.p)
 
@@ -237,7 +237,7 @@ def check_theorem_premises(inst: TheoremInstance) -> list[ConditionCheck]:
         ConditionCheck("alpha-gamma-interlace", sandwich, inst.alpha, inst.gamma)
     ]
     if sandwich:
-        degrees = sigma_degree_sequence(inst.alpha, inst.gamma, inst.m + inst.p)
+        degrees = _sigma_of_sandwich(inst.alpha, inst.gamma, inst.m + inst.p)
         indices = union(inst.c_plus, inst.r_plus)
         checks.append(
             ConditionCheck(
@@ -299,7 +299,7 @@ def check_theorem_conclusion(
         )
     )
     if inner:
-        degrees = sigma_degree_sequence(inst.alpha, beta, inst.m)
+        degrees = _sigma_of_sandwich(inst.alpha, beta, inst.m)
         checks.append(
             ConditionCheck(
                 "column-indices-vs-sigma(alpha,beta)",
@@ -317,7 +317,7 @@ def check_theorem_conclusion(
             )
         )
     if outer:
-        degrees = sigma_degree_sequence(beta, inst.gamma, inst.p)
+        degrees = _sigma_of_sandwich(beta, inst.gamma, inst.p)
         checks.append(
             ConditionCheck(
                 "row-indices-vs-sigma(beta,gamma)",

@@ -69,8 +69,10 @@ class Partition:
             return self._parts == other._parts
         return NotImplemented
 
-    def __lt__(self, other: "Partition") -> bool:
-        return self._parts < other._parts
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, Partition):
+            return self._parts < other._parts
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._parts)

@@ -150,3 +150,9 @@ def test_bulk_randomized_laws_stay_fast():
         length = rng.randint(0, 12)
         a = Partition(sorted((rng.randint(0, 20) for _ in range(length)), reverse=True))
         assert dual(dual(a)) == a
+
+
+def test_ordering_against_a_non_partition_raises_type_error():
+    with pytest.raises(TypeError):
+        Partition([2, 1]) < (2, 1)
+    assert Partition([1]) < Partition([2])
