@@ -320,12 +320,14 @@ def sigma_identity_rhs(delta: PolyChain, epsilon: PolyChain, y: int) -> Partitio
     gap between the conjugated factor partitions of the outer and inner
     chains.  For sandwiched pairs this equals
     :func:`sigma_degree_sequence`; it is computed along a completely
-    different route, which is the point of keeping both.
+    different route, which is the point of keeping both.  Like
+    :func:`sigma_degree_sequence` it raises :class:`InterlaceViolation` on a
+    pair that fails :func:`interlace_check`.
     """
-    if epsilon.length != delta.length + y:
-        raise LengthMismatch(
-            f"expected the outer chain to have length {delta.length} + {y}, "
-            f"got {epsilon.length}"
+    if not interlace_check(delta, epsilon, y):
+        raise InterlaceViolation(
+            "the divisibility sandwich does not hold; the degree sequence is "
+            "undefined for this pair"
         )
     total = Partition()
     for label, degree in sorted(_merged_degrees(delta, epsilon).items()):

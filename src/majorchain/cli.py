@@ -53,6 +53,10 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_CONTRADICTION = 4
 
+# Exit codes that a solve outcome fixes alone; what ``none`` means depends on
+# the command.
+_SOLVE_EXIT = {FOUND: EXIT_OK, ABORTED: EXIT_BUDGET}
+
 
 def _read_json(path: str):
     try:
@@ -102,15 +106,11 @@ def _cmd_solve(args) -> int:
                 d, t, inst.A, inst.B, args.weight, budget=args.budget, workers=args.workers
             )
             _emit(jsonio.solve_report_to_obj(report))
-            if report.outcome == ABORTED:
-                return EXIT_BUDGET
-            return EXIT_OK if report.outcome == FOUND else EXIT_FAILED
+            return _SOLVE_EXIT.get(report.outcome, EXIT_FAILED)
         report = solve_lemma(inst, budget=args.budget, workers=args.workers)
         _emit(jsonio.solve_report_to_obj(report))
-        if report.outcome == ABORTED:
-            return EXIT_BUDGET
-        if report.outcome == FOUND:
-            return EXIT_OK
+        if report.outcome in _SOLVE_EXIT:
+            return _SOLVE_EXIT[report.outcome]
         if inst.premise_holds:
             artifact = jsonio.write_contradiction_report(inst, report, args.report_dir)
             sys.stderr.write(
@@ -130,10 +130,8 @@ def _cmd_solve(args) -> int:
         return EXIT_FAILED
     report = solve_theorem(inst, budget=args.budget, workers=args.workers)
     _emit(jsonio.solve_report_to_obj(report))
-    if report.outcome == ABORTED:
-        return EXIT_BUDGET
-    if report.outcome == FOUND:
-        return EXIT_OK
+    if report.outcome in _SOLVE_EXIT:
+        return _SOLVE_EXIT[report.outcome]
     translated = theorem_to_lemma(inst)
     artifact = jsonio.write_contradiction_report(
         translated, report, args.report_dir
@@ -302,10 +300,7 @@ def cli_dispatch(argv=None) -> int:
     except (PremiseViolation, ConclusionViolation) as exc:
         sys.stderr.write(f"verification failed: {exc}\n")
         return EXIT_FAILED
-    except MajorchainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (MajorchainError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -7,10 +7,17 @@ integer tuples).  Pruning only ever cuts subtrees that provably contain no
 solution, which keeps that property; a NoSolution verdict therefore means
 the whole (pruned) space was exhausted.
 
-Work is measured in nodes, one per candidate value tried at a position, so
-reports are machine independent.  When the node budget would be exceeded
-the search stops with an ``aborted`` outcome and ``nodes`` equal to the
-budget.
+Each search is one recursive descent from the first position under one
+node counter.  Work is measured in nodes, one per candidate value tried at
+a position, so reports are machine independent.  When the node budget would
+be exceeded the search stops with an ``aborted`` outcome and ``nodes`` equal
+to the budget.  The splitting search has two monotone cuts that skip the
+rest of a position's window; at the first position they skip only the
+value that triggered them, so every value in the root window is tried and
+costs one node and one trace entry.  Node counts are part of a solve's
+output and the trace hash pins the explored tree, so this root-window rule
+keeps both equal to those of a search that runs one sub-search per
+first-position value.
 
 Every found certificate is passed through the public verifier before being
 reported; a disagreement would be an engine bug and raises RuntimeError.
@@ -21,6 +28,8 @@ from __future__ import annotations
 import hashlib
 from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
+from math import prod
 
 from .chains import PolyChain
 from .errors import NonLinearFactor, PremiseViolation
@@ -76,27 +85,25 @@ class _BudgetHit(Exception):
 
 
 def _run(search, budget: int, workers: int, trace=None):
-    """Search each first-position subtree in turn; ``workers`` is only validated."""
+    """Validate the arguments and run the one depth-first search.
+
+    Returns ``(outcome, solution, nodes)``.  ``workers`` is validated and
+    otherwise ignored: the search is sequential.  With no positions the
+    search is just the leaf test, which costs 0 nodes.  The module docstring
+    gives the root-window rule that keeps node counts and traces fixed.
+    """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    if search.num_positions == 0:
-        solution = search.empty_solution()
-        if solution is None:
-            return NO_SOLUTION, None, 0
-        return FOUND, solution, 0
-    remaining = budget
-    consumed = 0
-    for value in search.root_values():
-        status, solution, nodes = search.dfs_from(value, remaining, trace)
-        consumed += nodes
-        if status == "aborted":
-            return ABORTED, None, consumed
-        if status == "found":
-            return FOUND, solution, consumed
-        remaining -= nodes
-    return NO_SOLUTION, None, consumed
+    return search.run(budget, trace)
+
+
+def _sums_after(values) -> list[int]:
+    """``sums[i] == sum(values[i + 1:])`` for each i, in one backward pass."""
+    sums = list(accumulate(reversed(values), initial=0))
+    sums.reverse()
+    return sums[1:]
 
 
 class _SplitSearch:
@@ -123,50 +130,19 @@ class _SplitSearch:
             for j in range(len(d))
         ]
         self.num_positions = len(self.positions)
-        gap_totals = [
-            sum(dv - tv for dv, tv in zip(d, t)) for d, t in self.pair_data
-        ]
-        self.after_pair = [
-            sum(gap_totals[i + 1 :]) for i in range(len(self.pair_data))
-        ]
-        # Gaps available strictly after each position, ignoring caps.
-        self.rest_after = []
-        for i, (d, t) in enumerate(self.pair_data):
-            for j in range(len(d)):
-                tail = sum(d[u] - t[u] for u in range(j + 1, len(d)))
-                self.rest_after.append(tail + self.after_pair[i])
+        pair_gaps = [[dv - tv for dv, tv in zip(d, t)] for d, t in self.pair_data]
+        gaps = [gap for row in pair_gaps for gap in row]
+        # Gaps available strictly after each pair and each position, ignoring caps.
+        self.after_pair = _sums_after([sum(row) for row in pair_gaps])
+        self.rest_after = _sums_after(gaps)
         self.total_a = weight(A)
         self.total_b = weight(B)
-        self.pre_a = self._prefix_sums(A)
-        self.pre_b = self._prefix_sums(B)
-        size = 1
-        for i, j in self.positions:
-            d, t = self.pair_data[i]
-            size *= d[j] - t[j] + 1
-        self.space_size = size
-
-    @staticmethod
-    def _prefix_sums(partition: Partition) -> list[int]:
-        sums = []
-        run = 0
-        for part in partition.parts:
-            run += part
-            sums.append(run)
-        return sums
+        self.pre_a = list(accumulate(A.parts))
+        self.pre_b = list(accumulate(B.parts))
+        self.space_size = prod(gap + 1 for gap in gaps)
 
     def _solution_from(self, assigned) -> tuple[Partition, ...]:
         return tuple(Partition(values) for values in assigned)
-
-    def empty_solution(self):
-        if self.total_a == 0 and self.total_b == 0:
-            return tuple(Partition() for _ in self.pair_data)
-        return None
-
-    def root_values(self) -> range:
-        i, j = self.positions[0]
-        d, t = self.pair_data[i]
-        lo, hi = self._value_bounds(d, t, j, d[j], 0, 0)
-        return range(lo, hi + 1)
 
     def _value_bounds(self, d, t, j, cap_prev, ca, cb):
         w = self.w
@@ -180,7 +156,7 @@ class _SplitSearch:
             lo = d[j] - allow_b
         return lo, hi
 
-    def dfs_from(self, first_value: int, cap: int, trace=None):
+    def run(self, cap: int, trace=None):
         w = self.w
         positions = self.positions
         pair_data = self.pair_data
@@ -205,7 +181,7 @@ class _SplitSearch:
                     return False
             return True
 
-        def descend(pos_idx: int, ca: int, cb: int, forced: int | None) -> bool:
+        def descend(pos_idx: int, ca: int, cb: int) -> bool:
             nonlocal nodes
             if pos_idx == self.num_positions:
                 return w * ca == total_a and w * cb == total_b
@@ -213,10 +189,6 @@ class _SplitSearch:
             d, t = pair_data[i]
             cap_prev = assigned[i][j - 1] if j else d[j]
             lo, hi = self._value_bounds(d, t, j, cap_prev, ca, cb)
-            if forced is not None:
-                if forced < lo or forced > hi:
-                    return False
-                lo = hi = forced
             rest = rest_after[pos_idx]
             for value in range(lo, hi + 1):
                 if nodes >= cap:
@@ -229,6 +201,9 @@ class _SplitSearch:
                 ca2 = ca + gap_lower
                 cb2 = cb + gap_upper
                 if w * (cb2 + rest) < total_b:
+                    # The root tries its whole window, so node counts and traces stay put.
+                    if pos_idx == 0:
+                        continue
                     break  # larger values shrink the upper side further
                 gain = 0
                 for u in range(j + 1, len(d)):
@@ -242,6 +217,9 @@ class _SplitSearch:
                     insort(lower_gaps, scaled_lower)
                     if not prefix_ok(lower_gaps, pre_a, len_a, total_a):
                         lower_gaps.remove(scaled_lower)
+                        # As above, the root tries its whole window.
+                        if pos_idx == 0:
+                            continue
                         break  # larger values make this prefix worse
                 if gap_upper:
                     insort(upper_gaps, scaled_upper)
@@ -251,7 +229,7 @@ class _SplitSearch:
                             lower_gaps.remove(scaled_lower)
                         continue  # larger values shrink this gap
                 assigned[i][j] = value
-                if descend(pos_idx + 1, ca2, cb2, None):
+                if descend(pos_idx + 1, ca2, cb2):
                     return True
                 if gap_lower:
                     lower_gaps.remove(scaled_lower)
@@ -260,11 +238,11 @@ class _SplitSearch:
             return False
 
         try:
-            if descend(0, 0, 0, first_value):
-                return "found", self._solution_from(assigned), nodes
-            return "exhausted", None, nodes
+            if descend(0, 0, 0):
+                return FOUND, self._solution_from(assigned), nodes
+            return NO_SOLUTION, None, nodes
         except _BudgetHit:
-            return "aborted", None, nodes
+            return ABORTED, None, nodes
 
 
 class _ChainSearch:
@@ -309,25 +287,13 @@ class _ChainSearch:
         )
         return BetaCertificate(chain)
 
-    def empty_solution(self):
-        certificate = self._certificate_from(
-            [[] for _ in self.factors] if self.factors else []
-        )
-        if verify_theorem_conclusion(self.inst, certificate):
-            return certificate
-        return None
-
-    def root_values(self) -> range:
-        lo, hi = self.bounds[0]
-        return range(lo, hi + 1)
-
-    def dfs_from(self, first_value: int, cap: int, trace=None):
+    def run(self, cap: int, trace=None):
         positions = self.positions
         bounds = self.bounds
         assigned = [[0] * self.chain_length for _ in self.factors]
         nodes = 0
 
-        def descend(pos_idx: int, forced: int | None) -> bool:
+        def descend(pos_idx: int) -> bool:
             nonlocal nodes
             if pos_idx == self.num_positions:
                 return verify_theorem_conclusion(
@@ -337,10 +303,6 @@ class _ChainSearch:
             lo, hi = bounds[pos_idx]
             if q >= 2 and assigned[fi][q - 2] > lo:
                 lo = assigned[fi][q - 2]
-            if forced is not None:
-                if forced < lo or forced > hi:
-                    return False
-                lo = hi = forced
             for value in range(lo, hi + 1):
                 if nodes >= cap:
                     raise _BudgetHit
@@ -348,16 +310,16 @@ class _ChainSearch:
                 if trace is not None:
                     trace.update(b"%d:%d;" % (pos_idx, value))
                 assigned[fi][q - 1] = value
-                if descend(pos_idx + 1, None):
+                if descend(pos_idx + 1):
                     return True
             return False
 
         try:
-            if descend(0, first_value):
-                return "found", self._certificate_from(assigned), nodes
-            return "exhausted", None, nodes
+            if descend(0):
+                return FOUND, self._certificate_from(assigned), nodes
+            return NO_SOLUTION, None, nodes
         except _BudgetHit:
-            return "aborted", None, nodes
+            return ABORTED, None, nodes
 
 
 def solve_lemma(

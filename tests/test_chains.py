@@ -201,6 +201,13 @@ class TestFactorLocalForm:
             sigma_identity_rhs(chain(1), chain(0, 1, 2), 2), 2
         )
 
+    def test_requires_the_sandwich(self):
+        # Unguarded, the first pair gives a meaningless Partition([1, 1]) and
+        # the second a DominanceViolation from the partition layer.
+        for delta, epsilon, y in ((chain(0), chain(1, 1), 1), (chain(1), chain(0), 0)):
+            with pytest.raises(InterlaceViolation):
+                sigma_identity_rhs(delta, epsilon, y)
+
     def test_matches_degree_sequence_on_random_pairs(self):
         rng = random.Random(37)
         for _ in range(300):

@@ -109,3 +109,61 @@ class TestWorkersArgument:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert solve_lemma(inst, workers=4) == sequential
         assert sequential.found and sequential.nodes == 6
+
+
+class Recorder:
+    """A trace sink: keeps every chunk the search passes to ``update``."""
+
+    def __init__(self):
+        self.data = b""
+
+    def update(self, chunk):
+        self.data += chunk
+
+
+def upper_mass_cut_instance():
+    # B needs 2 but the only gap is 1, so the upper-mass bound cuts both root
+    # values.
+    return LemmaInstance(((Partition([1]), Partition()),), Partition([1]), Partition([2]))
+
+
+def lower_prefix_cut_instance():
+    # The root window is 2..3, and a first lower gap of 2 or 3 already exceeds
+    # A's largest part, so the lower-prefix bound cuts both root values.
+    return LemmaInstance(
+        ((Partition([3, 1]), Partition()),), Partition([1, 1, 1]), Partition([1])
+    )
+
+
+class TestOneDescent:
+    """Node counts, traces and zero-position solves that the single descent keeps."""
+
+    @pytest.mark.parametrize(
+        "inst, trace",
+        [
+            (upper_mass_cut_instance(), b"0:0;0:1;"),
+            (lower_prefix_cut_instance(), b"0:2;0:3;"),
+        ],
+        ids=["upper-mass", "lower-prefix"],
+    )
+    def test_a_cut_root_value_costs_a_node_and_a_trace_entry(self, inst, trace):
+        recorder = Recorder()
+        report = solve_lemma(inst, trace=recorder)
+        assert report.outcome == "none" and report.nodes == 2
+        assert recorder.data == trace
+
+    @pytest.mark.parametrize(
+        "budget, outcome, nodes",
+        [(0, "aborted", 0), (1, "aborted", 1), (2, "none", 2), (3, "none", 2)],
+    )
+    def test_budget_counts_root_values(self, budget, outcome, nodes):
+        report = solve_lemma(upper_mass_cut_instance(), budget=budget)
+        assert (report.outcome, report.nodes) == (outcome, nodes)
+
+    @pytest.mark.parametrize(
+        "chain", [PolyChain(0, {Factor("x"): ()}), PolyChain(1, {})]
+    )
+    def test_direct_search_with_no_positions(self, chain):
+        inst = TheoremInstance(chain, chain, Partition(), Partition(), m=0, p=0)
+        report = solve_theorem_direct(inst)
+        assert report.outcome == "found" and report.nodes == 0
