@@ -117,12 +117,6 @@ class PolyChain:
     def labels(self) -> tuple[str, ...]:
         return tuple(self._vectors)
 
-    def degree_of(self, label: str) -> int | None:
-        for factor in self._factors:
-            if factor.label == label:
-                return factor.degree
-        return None
-
     def exponent_vector(self, label: str) -> tuple[int, ...]:
         """Exponents at positions 1..L; all zeros for an absent factor."""
         vec = self._vectors.get(label)

@@ -28,6 +28,7 @@ from . import jsonio
 from .errors import ConclusionViolation, InputError, MajorchainError, PremiseViolation
 from .generator import GeneratorConfig, InstanceGenerator
 from .instances import (
+    _verdict,
     check_lemma_conclusion,
     check_lemma_premise,
     check_theorem_conclusion,
@@ -86,7 +87,7 @@ def _cmd_check(args) -> int:
         else:
             certificate = jsonio.parse_beta_certificate(_read_json(args.certificate))
             checks = check_theorem_conclusion(inst, certificate)
-    verified = all(check.holds is True for check in checks)
+    verified = _verdict(checks)
     _emit({"verified": verified, "checks": jsonio.transcript_to_obj(checks)})
     return EXIT_OK if verified else EXIT_FAILED
 
@@ -120,6 +121,8 @@ def _cmd_solve(args) -> int:
             return EXIT_CONTRADICTION
         return EXIT_FAILED
     inst = jsonio.parse_theorem_instance(data)
+    if args.weight is not None:
+        raise InputError("--weight applies to single-pair lemma instances only", path="")
     if not inst.premise_holds:
         _emit(
             {

@@ -18,6 +18,12 @@ translation: a middle chain corresponds to the list of conjugates of its
 factor partitions, and vice versa.  The verifiers here check premises and
 conclusions of both forms, producing transcripts that list every condition
 with the two objects it compares.
+
+Each condition has one implementation here, which the solvers reuse:
+``_pooled`` builds every pooled-gap multiset, ``_splitting_checks`` is the
+splitting conclusion (with the gaps scaled by a weight, 1 for the lemma
+itself) and ``_sigma_condition`` is every indices-versus-degree-sequence
+condition of the chain-completion form.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .errors import (
     NonLinearFactor,
     PremiseViolation,
 )
-from .partitions import Partition, as_partition, diff_sorted, dual, majorizes, plus, union
+from .partitions import Partition, as_partition, dual, majorizes, plus, union
 
 
 def _shifted_indices(indices: Partition, count: int) -> Partition:
@@ -171,15 +177,12 @@ class LemmaInstance:
 
     def gap_union(self) -> Partition:
         """The pooled gaps (d^1-t^1) u ... u (d^k-t^k)."""
-        pooled = Partition()
-        for d, t in self.pairs:
-            pooled = union(pooled, diff_sorted(d, t))
-        return pooled
+        return _pooled(self.pairs, 1)
 
     @cached_property
     def premise_holds(self) -> bool:
-        """Whether the pooled gaps are majorized by A+B."""
-        return majorizes(self.gap_union(), plus(self.A, self.B))
+        """Whether the pooled gaps are majorized by A+B (see check_lemma_premise)."""
+        return _verdict(check_lemma_premise(self))
 
     def canonical_key(self):
         rows = sorted((d.parts, t.parts) for d, t in self.pairs)
@@ -230,32 +233,38 @@ def _verdict(checks: Iterable[ConditionCheck]) -> bool:
     return all(check.holds is True for check in checks)
 
 
+def _majorized(name: str, left: Partition, right: Partition) -> ConditionCheck:
+    return ConditionCheck(name, majorizes(left, right), left, right)
+
+
+def _pooled(pairs, w: int) -> Partition:
+    """The gaps w*(hi_j - lo_j) of every (hi, lo) pair with lo <= hi, sorted once."""
+    gaps = []
+    for hi, lo in pairs:
+        length = max(len(hi), len(lo))
+        gaps.extend(w * (a - b) for a, b in zip(hi.pad(length), lo.pad(length)))
+    gaps.sort(reverse=True)
+    return Partition(gaps)
+
+
+def _sigma_condition(name, sandwiched, indices, delta, epsilon, y, sandwich_name):
+    """``indices`` against sigma(delta, epsilon), which exists only for a sandwiched pair."""
+    if not sandwiched:
+        return ConditionCheck(name, None, note=f"skipped: the {sandwich_name} condition failed")
+    return _majorized(name, indices, _sigma_of_sandwich(delta, epsilon, y))
+
+
 def check_theorem_premises(inst: TheoremInstance) -> list[ConditionCheck]:
     """Transcript of the two premises of the chain-completion form."""
-    sandwich = interlace_check(inst.alpha, inst.gamma, inst.m + inst.p)
-    checks = [
-        ConditionCheck("alpha-gamma-interlace", sandwich, inst.alpha, inst.gamma)
+    alpha, gamma, y = inst.alpha, inst.gamma, inst.m + inst.p
+    sandwich = interlace_check(alpha, gamma, y)
+    indices = union(inst.c_plus, inst.r_plus)
+    return [
+        ConditionCheck("alpha-gamma-interlace", sandwich, alpha, gamma),
+        _sigma_condition(
+            "indices-vs-sigma(alpha,gamma)", sandwich, indices, alpha, gamma, y, "interlace"
+        ),
     ]
-    if sandwich:
-        degrees = _sigma_of_sandwich(inst.alpha, inst.gamma, inst.m + inst.p)
-        indices = union(inst.c_plus, inst.r_plus)
-        checks.append(
-            ConditionCheck(
-                "indices-vs-sigma(alpha,gamma)",
-                majorizes(indices, degrees),
-                indices,
-                degrees,
-            )
-        )
-    else:
-        checks.append(
-            ConditionCheck(
-                "indices-vs-sigma(alpha,gamma)",
-                None,
-                note="skipped: the interlace condition failed",
-            )
-        )
-    return checks
 
 
 def verify_theorem_premises(inst: TheoremInstance) -> bool:
@@ -271,70 +280,26 @@ def check_theorem_conclusion(
     corresponding interlace condition holds; they are reported as skipped
     otherwise.
     """
-    beta = certificate.beta
+    beta, alpha, gamma = certificate.beta, inst.alpha, inst.gamma
     if beta.length != inst.n + inst.m:
-        raise LengthMismatch(
-            f"middle chain length {beta.length} != {inst.n} + {inst.m}"
-        )
+        raise LengthMismatch(f"middle chain length {beta.length} != {inst.n} + {inst.m}")
     valid = chain_validate(beta)
-    checks = [ConditionCheck("beta-chain-valid", valid, beta, None)]
-    inner = valid and interlace_check(inst.alpha, beta, inst.m)
-    checks.append(
-        ConditionCheck(
-            "beta-alpha-interlace",
-            inner if valid else None,
-            inst.alpha,
-            beta,
-            note="" if valid else "skipped: the chain is not a divisibility chain",
-        )
-    )
-    outer = valid and interlace_check(beta, inst.gamma, inst.p)
-    checks.append(
-        ConditionCheck(
-            "beta-gamma-interlace",
-            outer if valid else None,
-            beta,
-            inst.gamma,
-            note="" if valid else "skipped: the chain is not a divisibility chain",
-        )
-    )
-    if inner:
-        degrees = _sigma_of_sandwich(inst.alpha, beta, inst.m)
-        checks.append(
-            ConditionCheck(
-                "column-indices-vs-sigma(alpha,beta)",
-                majorizes(inst.c_plus, degrees),
-                inst.c_plus,
-                degrees,
-            )
-        )
-    else:
-        checks.append(
-            ConditionCheck(
-                "column-indices-vs-sigma(alpha,beta)",
-                None,
-                note="skipped: the inner interlace condition failed",
-            )
-        )
-    if outer:
-        degrees = _sigma_of_sandwich(beta, inst.gamma, inst.p)
-        checks.append(
-            ConditionCheck(
-                "row-indices-vs-sigma(beta,gamma)",
-                majorizes(inst.r_plus, degrees),
-                inst.r_plus,
-                degrees,
-            )
-        )
-    else:
-        checks.append(
-            ConditionCheck(
-                "row-indices-vs-sigma(beta,gamma)",
-                None,
-                note="skipped: the outer interlace condition failed",
-            )
-        )
-    return checks
+    inner = valid and interlace_check(alpha, beta, inst.m)
+    outer = valid and interlace_check(beta, gamma, inst.p)
+    skip = "" if valid else "skipped: the chain is not a divisibility chain"
+    return [
+        ConditionCheck("beta-chain-valid", valid, beta, None),
+        ConditionCheck("beta-alpha-interlace", inner if valid else None, alpha, beta, note=skip),
+        ConditionCheck("beta-gamma-interlace", outer if valid else None, beta, gamma, note=skip),
+        _sigma_condition(
+            "column-indices-vs-sigma(alpha,beta)",
+            inner, inst.c_plus, alpha, beta, inst.m, "inner interlace",
+        ),
+        _sigma_condition(
+            "row-indices-vs-sigma(beta,gamma)",
+            outer, inst.r_plus, beta, gamma, inst.p, "outer interlace",
+        ),
+    ]
 
 
 def verify_theorem_conclusion(inst: TheoremInstance, certificate: BetaCertificate) -> bool:
@@ -342,56 +307,50 @@ def verify_theorem_conclusion(inst: TheoremInstance, certificate: BetaCertificat
 
 
 def check_lemma_premise(inst: LemmaInstance) -> list[ConditionCheck]:
-    pooled = inst.gap_union()
-    bound = plus(inst.A, inst.B)
-    return [
-        ConditionCheck("pooled-gaps-vs-A+B", majorizes(pooled, bound), pooled, bound)
-    ]
+    return [_majorized("pooled-gaps-vs-A+B", inst.gap_union(), plus(inst.A, inst.B))]
 
 
 def verify_lemma_premise(inst: LemmaInstance) -> bool:
     return inst.premise_holds
 
 
-def check_lemma_conclusion(
-    inst: LemmaInstance, certificate: FCertificate
-) -> list[ConditionCheck]:
-    """Transcript of the three conclusion conditions for a splitting."""
-    fs = certificate.fs
-    if len(fs) != inst.k:
-        raise LengthMismatch(f"{len(fs)} candidate partitions for {inst.k} pairs")
-    bounds_note = ""
-    in_bounds = True
-    for index, ((d, t), f) in enumerate(zip(inst.pairs, fs)):
-        for j in range(max(len(d), len(t), len(f))):
-            if not d[j] >= f[j] >= t[j]:
-                in_bounds = False
-                bounds_note = (
-                    f"pair {index}, position {j}: need {d[j]} >= {f[j]} >= {t[j]}"
-                )
-                break
-        if not in_bounds:
-            break
-    checks = [
-        ConditionCheck("bounds(t<=f<=d)", in_bounds, tuple(fs), inst.pairs, note=bounds_note)
+def _splitting_checks(pairs, fs, A: Partition, B: Partition, w: int) -> list[ConditionCheck]:
+    """The three splitting conditions, with every gap scaled by ``w``.
+
+    t^i <= f^i <= d^i, the lower gaps w*(f^i-t^i) pool under A and the upper
+    gaps w*(d^i-f^i) pool under B.  With w=1 this is the splitting conclusion.
+    """
+    if len(fs) != len(pairs):
+        raise LengthMismatch(f"{len(fs)} candidate partitions for {len(pairs)} pairs")
+    bounds_note = next(
+        (
+            f"pair {index}, position {j}: need {d[j]} >= {f[j]} >= {t[j]}"
+            for index, ((d, t), f) in enumerate(zip(pairs, fs))
+            for j in range(max(len(d), len(t), len(f)))
+            if not d[j] >= f[j] >= t[j]
+        ),
+        "",
+    )
+    bounds = ConditionCheck("bounds(t<=f<=d)", not bounds_note, tuple(fs), pairs, note=bounds_note)
+    if bounds_note:
+        skip = "skipped: the bounds condition failed"
+        return [
+            bounds,
+            ConditionCheck("lower-gaps-vs-A", None, note=skip),
+            ConditionCheck("upper-gaps-vs-B", None, note=skip),
+        ]
+    lower = _pooled(((f, t) for (_, t), f in zip(pairs, fs)), w)
+    upper = _pooled(((d, f) for (d, _), f in zip(pairs, fs)), w)
+    return [
+        bounds,
+        _majorized("lower-gaps-vs-A", lower, A),
+        _majorized("upper-gaps-vs-B", upper, B),
     ]
-    if in_bounds:
-        lower = Partition()
-        upper = Partition()
-        for (d, t), f in zip(inst.pairs, fs):
-            lower = union(lower, diff_sorted(f, t))
-            upper = union(upper, diff_sorted(d, f))
-        checks.append(
-            ConditionCheck("lower-gaps-vs-A", majorizes(lower, inst.A), lower, inst.A)
-        )
-        checks.append(
-            ConditionCheck("upper-gaps-vs-B", majorizes(upper, inst.B), upper, inst.B)
-        )
-    else:
-        note = "skipped: the bounds condition failed"
-        checks.append(ConditionCheck("lower-gaps-vs-A", None, note=note))
-        checks.append(ConditionCheck("upper-gaps-vs-B", None, note=note))
-    return checks
+
+
+def check_lemma_conclusion(inst: LemmaInstance, certificate: FCertificate) -> list[ConditionCheck]:
+    """Transcript of the three conclusion conditions for a splitting."""
+    return _splitting_checks(inst.pairs, certificate.fs, inst.A, inst.B, 1)
 
 
 def verify_lemma_conclusion(inst: LemmaInstance, certificate: FCertificate) -> bool:

@@ -201,9 +201,7 @@ def parse_theorem_instance(obj: Any, path: str = "$") -> TheoremInstance:
             )
     try:
         return TheoremInstance(alpha, gamma, c, r, m=m, p=p)
-    except MajorchainError as exc:
-        raise InputError(str(exc), path) from exc
-    except ValueError as exc:
+    except (MajorchainError, ValueError) as exc:
         raise InputError(str(exc), path) from exc
 
 

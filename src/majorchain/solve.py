@@ -19,8 +19,10 @@ output and the trace hash pins the explored tree, so this root-window rule
 keeps both equal to those of a search that runs one sub-search per
 first-position value.
 
-Every found certificate is passed through the public verifier before being
-reported; a disagreement would be an engine bug and raises RuntimeError.
+Every found certificate is passed through a verifier of
+:mod:`majorchain.instances` before being reported; the two splitting solvers
+share one body that uses the one splitting check there, with their weight.
+A disagreement would be an engine bug and raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -38,20 +40,14 @@ from .instances import (
     FCertificate,
     LemmaInstance,
     TheoremInstance,
+    _splitting_checks,
+    _verdict,
     f_to_beta,
     theorem_to_lemma,
     verify_theorem_conclusion,
     verify_theorem_premises,
-    verify_lemma_conclusion,
 )
-from .partitions import (
-    Partition,
-    as_partition,
-    diff_sorted,
-    majorizes,
-    scaled,
-    weight,
-)
+from .partitions import Partition, weight
 
 FOUND = "found"
 NO_SOLUTION = "none"
@@ -117,13 +113,10 @@ class _SplitSearch:
     are cut.
     """
 
-    def __init__(self, pairs, A: Partition, B: Partition, w: int):
+    def __init__(self, inst: LemmaInstance, w: int):
         self.w = w
-        self.pair_data = []
-        for d, t in pairs:
-            d, t = as_partition(d), as_partition(t)
-            length = len(d)
-            self.pair_data.append((d.pad(length), t.pad(length)))
+        # t <= d componentwise, so d's length covers both.
+        self.pair_data = [(d.parts, t.pad(len(d))) for d, t in inst.pairs]
         self.positions = [
             (i, j)
             for i, (d, _) in enumerate(self.pair_data)
@@ -135,10 +128,10 @@ class _SplitSearch:
         # Gaps available strictly after each pair and each position, ignoring caps.
         self.after_pair = _sums_after([sum(row) for row in pair_gaps])
         self.rest_after = _sums_after(gaps)
-        self.total_a = weight(A)
-        self.total_b = weight(B)
-        self.pre_a = list(accumulate(A.parts))
-        self.pre_b = list(accumulate(B.parts))
+        self.total_a = weight(inst.A)
+        self.total_b = weight(inst.B)
+        self.pre_a = list(accumulate(inst.A.parts))
+        self.pre_b = list(accumulate(inst.B.parts))
         self.space_size = prod(gap + 1 for gap in gaps)
 
     def _solution_from(self, assigned) -> tuple[Partition, ...]:
@@ -322,6 +315,20 @@ class _ChainSearch:
             return ABORTED, None, nodes
 
 
+def _solve_splitting(
+    inst: LemmaInstance, w: int, budget: int, workers: int, trace=None
+) -> SolveReport:
+    """Search for a splitting with every gap scaled by ``w`` and verify it."""
+    search = _SplitSearch(inst, w)
+    outcome, solution, nodes = _run(search, budget, workers, trace)
+    certificate = None
+    if outcome == FOUND:
+        certificate = FCertificate(solution)
+        if not _verdict(_splitting_checks(inst.pairs, solution, inst.A, inst.B, w)):
+            raise RuntimeError("internal error: a found splitting failed verification")
+    return SolveReport(outcome, certificate, nodes, budget, search.space_size)
+
+
 def solve_lemma(
     inst: LemmaInstance,
     budget: int = DEFAULT_BUDGET,
@@ -334,23 +341,7 @@ def solve_lemma(
     on a premise-satisfying instance is significant (the existence statement
     says it cannot happen), which callers should treat as a tripwire.
     """
-    search = _SplitSearch(inst.pairs, inst.A, inst.B, 1)
-    outcome, solution, nodes = _run(search, budget, workers, trace)
-    certificate = None
-    if outcome == FOUND:
-        certificate = FCertificate(solution)
-        if not verify_lemma_conclusion(inst, certificate):
-            raise RuntimeError("internal error: a found splitting failed verification")
-    return SolveReport(outcome, certificate, nodes, budget, search.space_size)
-
-
-def _scaled_conclusion_holds(d, t, A, B, w, f) -> bool:
-    for j in range(max(len(d), len(t), len(f))):
-        if not d[j] >= f[j] >= t[j]:
-            return False
-    return majorizes(scaled(diff_sorted(f, t), w), A) and majorizes(
-        scaled(diff_sorted(d, f), w), B
-    )
+    return _solve_splitting(inst, 1, budget, workers, trace)
 
 
 def solve_scaled_k1(
@@ -365,24 +356,16 @@ def solve_scaled_k1(
     """Single-pair splitting search with every gap scaled by ``w``.
 
     Finds f with t <= f <= d such that w*(f-t) pools under A and w*(d-f)
-    pools under B.  With w=1 this is exactly the single-pair case of
-    :func:`solve_lemma`; with w>=2 it probes the scaled variant of the
-    splitting statement, which is not a theorem, so NoSolution is an
-    ordinary outcome here rather than a tripwire.
+    pools under B.  It runs the body of :func:`solve_lemma` on the
+    single-pair instance ``((d, t),), A, B``, so with w=1 it is exactly
+    that case; with w>=2 it probes the scaled variant of the splitting
+    statement, which is not a theorem, so NoSolution is an ordinary outcome
+    here rather than a tripwire.
     """
     if isinstance(w, bool) or not isinstance(w, int) or w < 1:
         raise ValueError(f"weight must be a positive integer, got {w!r}")
-    d, t = as_partition(d), as_partition(t)
-    A, B = as_partition(A), as_partition(B)
-    diff_sorted(d, t)  # raises DominanceViolation unless t <= d componentwise
-    search = _SplitSearch([(d, t)], A, B, w)
-    outcome, solution, nodes = _run(search, budget, workers)
-    certificate = None
-    if outcome == FOUND:
-        certificate = FCertificate(solution)
-        if not _scaled_conclusion_holds(d, t, A, B, w, certificate.fs[0]):
-            raise RuntimeError("internal error: a found splitting failed verification")
-    return SolveReport(outcome, certificate, nodes, budget, search.space_size)
+    # The instance checks t <= d componentwise (DominanceViolation otherwise).
+    return _solve_splitting(LemmaInstance(((d, t),), A, B), w, budget, workers)
 
 
 def solve_theorem(

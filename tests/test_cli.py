@@ -188,6 +188,17 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("weight", ["2", "0"])
+    def test_weight_is_rejected_in_theorem_mode(self, capsys, running_files, weight):
+        instance, _, _ = running_files
+        code = cli_dispatch(
+            ["solve", "--mode", "theorem", "--instance", instance, "--weight", weight]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
 
 class TestTranslate:
     def test_theorem_to_lemma(self, capsys, running_files):
