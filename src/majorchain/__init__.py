@@ -28,6 +28,7 @@ from .errors import (
     NonLinearFactor,
     NotAPartition,
     PremiseViolation,
+    SearchTooDeep,
 )
 from .partitions import (
     Partition,
@@ -114,6 +115,7 @@ __all__ = [
     "Partition",
     "PolyChain",
     "PremiseViolation",
+    "SearchTooDeep",
     "SolveReport",
     "TheoremInstance",
     "as_partition",

@@ -11,7 +11,8 @@ Exit codes, mutually exclusive:
 
 * 0: success (verified, found, translated, identity holds, reproduced);
 * 1: verification failed or nothing found;
-* 2: malformed input;
+* 2: malformed input, or input a solver cannot handle (``--weight`` outside
+  single-pair splitting instances, a search too deep for the interpreter);
 * 3: node budget exceeded;
 * 4: contradiction tripwire: a premise-satisfying instance with no
   solution, which the existence theorem rules out.  A bug-report artifact

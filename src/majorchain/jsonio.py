@@ -13,7 +13,8 @@ Formats (all UTF-8 JSON, no comments):
 Parsers reject out-of-schema values with an :class:`InputError` whose
 message names the JSON path of the offending element.  Parts are capped at
 the signed 64-bit maximum: anything larger is a parse error, never a silent
-wrap.
+wrap.  Malformed text, and text nested too deeply for the parser, is an
+:class:`InputError` too.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ def load_json(text: str) -> Any:
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             path="",
         ) from exc
+    except RecursionError as exc:
+        raise InputError("JSON nested too deeply to parse", path="") from exc
 
 
 def dumps(obj: Any) -> str:

@@ -19,6 +19,13 @@ output and the trace hash pins the explored tree, so this root-window rule
 keeps both equal to those of a search that runs one sub-search per
 first-position value.
 
+The direct chain search also clamps each position's window by mass: every
+solution has sum deg*|beta_f| == |c+| + sum deg*|alpha_f|, because under the
+inner sandwich |sigma(alpha, beta)| = sum deg*(|beta_f| - |alpha_f|) and
+majorization needs it to equal |c+|.  A search that recurses deeper than the
+interpreter allows raises :class:`~majorchain.errors.SearchTooDeep` naming
+its number of positions.
+
 Every found certificate is passed through a verifier of
 :mod:`majorchain.instances` before being reported; the two splitting solvers
 share one body that uses the one splitting check there, with their weight.
@@ -34,7 +41,7 @@ from itertools import accumulate
 from math import prod
 
 from .chains import PolyChain
-from .errors import NonLinearFactor, PremiseViolation
+from .errors import NonLinearFactor, PremiseViolation, SearchTooDeep
 from .instances import (
     BetaCertificate,
     FCertificate,
@@ -92,7 +99,13 @@ def _run(search, budget: int, workers: int, trace=None):
         raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    return search.run(budget, trace)
+    try:
+        return search.run(budget, trace)
+    except RecursionError:
+        raise SearchTooDeep(
+            f"the search has {search.num_positions} positions, more than the "
+            "interpreter's recursion limit allows"
+        ) from None
 
 
 def _sums_after(values) -> list[int]:
@@ -244,8 +257,17 @@ class _ChainSearch:
     Candidate exponents at each position range over the window allowed by
     the outer chain (condition: the chain must sit between gamma shifted by
     0 and by p), narrowed by the inner chain's sandwich and by the already
-    chosen previous exponent of the same factor.  Every complete candidate
-    is checked with the full conclusion verifier.
+    chosen previous exponent of the same factor.
+
+    The window is then clamped by mass.  Under the inner sandwich the lcm
+    products give pi_0(alpha, beta) = sum deg*|alpha_f| and pi_m(alpha, beta)
+    = sum deg*|beta_f|, so |sigma(alpha, beta)| = sum deg*(|beta_f| -
+    |alpha_f|), and c+ can be majorized by sigma(alpha, beta) only if that
+    equals |c+|.  Every solution therefore has sum deg*|beta_f| == |c+| +
+    sum deg*|alpha_f|, the ``target``, and a value is tried only if the
+    later positions' windows can still bring the mass to it.  The cut reads
+    chain quantities only; every complete candidate is still checked with
+    the full conclusion verifier.
     """
 
     def __init__(self, inst: TheoremInstance):
@@ -272,6 +294,14 @@ class _ChainSearch:
             self.bounds.append((lo, hi))
             size *= max(gamma_hi - gamma_lo + 1, 0)
         self.space_size = size
+        self.degrees = [self.factors[fi].degree for fi, _ in self.positions]
+        self.target = weight(inst.c_plus) + sum(
+            factor.degree * sum(inst.alpha.exponent_vector(factor.label))
+            for factor in self.factors
+        )
+        # Least and most mass the positions after each one can add.
+        self.low_after = _sums_after([deg * lo for deg, (lo, _) in zip(self.degrees, self.bounds)])
+        self.high_after = _sums_after([deg * hi for deg, (_, hi) in zip(self.degrees, self.bounds)])
 
     def _certificate_from(self, assigned) -> BetaCertificate:
         chain = PolyChain(
@@ -283,10 +313,13 @@ class _ChainSearch:
     def run(self, cap: int, trace=None):
         positions = self.positions
         bounds = self.bounds
+        degrees = self.degrees
+        target = self.target
+        low_after, high_after = self.low_after, self.high_after
         assigned = [[0] * self.chain_length for _ in self.factors]
         nodes = 0
 
-        def descend(pos_idx: int) -> bool:
+        def descend(pos_idx: int, mass: int) -> bool:
             nonlocal nodes
             if pos_idx == self.num_positions:
                 return verify_theorem_conclusion(
@@ -296,6 +329,14 @@ class _ChainSearch:
             lo, hi = bounds[pos_idx]
             if q >= 2 and assigned[fi][q - 2] > lo:
                 lo = assigned[fi][q - 2]
+            deg = degrees[pos_idx]
+            need = target - mass
+            top = (need - low_after[pos_idx]) // deg
+            if top < hi:
+                hi = top
+            bottom = -((high_after[pos_idx] - need) // deg)  # ceiling division
+            if bottom > lo:
+                lo = bottom
             for value in range(lo, hi + 1):
                 if nodes >= cap:
                     raise _BudgetHit
@@ -303,12 +344,12 @@ class _ChainSearch:
                 if trace is not None:
                     trace.update(b"%d:%d;" % (pos_idx, value))
                 assigned[fi][q - 1] = value
-                if descend(pos_idx + 1):
+                if descend(pos_idx + 1, mass + deg * value):
                     return True
             return False
 
         try:
-            if descend(0):
+            if descend(0, 0):
                 return FOUND, self._certificate_from(assigned), nodes
             return NO_SOLUTION, None, nodes
         except _BudgetHit:

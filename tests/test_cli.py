@@ -327,3 +327,38 @@ class TestWorkersFlag:
         )
         assert code_seq == code_par == 0
         assert payload_seq == payload_par and payload_seq["outcome"] == "found"
+
+
+class TestInputsBeyondTheInterpreter:
+    def test_search_too_deep_exits_2(self, capsys, tmp_path):
+        # Valid and premise-true, but the search needs 1500 nested levels.
+        instance = write(
+            tmp_path,
+            "long.json",
+            {"pairs": [{"d": [1] * 1500, "t": []}], "A": [1] * 1500, "B": []},
+        )
+        code = cli_dispatch(["check", "--mode", "lemma", "--instance", instance])
+        assert code == 0 and json.loads(capsys.readouterr().out)["verified"]
+        code = cli_dispatch(["solve", "--mode", "lemma", "--instance", instance])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "1500 positions" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--mode", "lemma"],
+            ["solve", "--mode", "lemma"],
+            ["translate", "--mode", "theorem"],
+            ["identity"],
+        ],
+    )
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code = cli_dispatch(argv + ["--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from majorchain import (
     ABORTED,
+    BetaCertificate,
     FOUND,
     NO_SOLUTION,
     Factor,
@@ -13,6 +15,7 @@ from majorchain import (
     Partition,
     PolyChain,
     PremiseViolation,
+    SearchTooDeep,
     TheoremInstance,
     search_trace_hash,
     solve_lemma,
@@ -22,7 +25,9 @@ from majorchain import (
     theorem_to_lemma,
     verify_lemma_conclusion,
     verify_theorem_conclusion,
+    weight,
 )
+import majorchain.solve as solve_module
 
 from helpers import oracle_lemma_solutions
 
@@ -301,3 +306,91 @@ class TestEngineAgainstOracles:
     def test_weight_that_cannot_divide_the_mass(self):
         report = solve_scaled_k1((2, 1), (), (1, 1, 1), (), w=2)
         assert report.outcome == NO_SOLUTION  # odd target under even scaled gaps
+
+
+def generated_theorem_instances(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        config = GeneratorConfig(
+            seed=rng.randrange(2**32),
+            k=rng.randint(2, 3),
+            s=rng.randint(2, 3),
+            max_part=rng.randint(2, 3),
+            mode="theorem",
+        )
+        yield InstanceGenerator(config).theorem_instance()
+
+
+def sandwich_window(inst, label, q):
+    """Exponents allowed at position q: gamma(q)..gamma(q+p), alpha(q-m)..alpha(q)."""
+    lo = max(inst.gamma.exponent(label, q), inst.alpha.exponent(label, q - inst.m))
+    hi = inst.gamma.exponent(label, q + inst.p)
+    if q <= inst.n:
+        hi = min(hi, inst.alpha.exponent(label, q))
+    return range(lo, hi + 1)
+
+
+def mass(inst, chain):
+    return sum(
+        factor.degree * sum(chain.exponent_vector(factor.label)) for factor in inst.factors
+    )
+
+
+def first_verifying_chain(inst):
+    """The first middle chain, in the direct search's order, that verifies.
+
+    Positions run factor by factor, q = 1..n+m, each over its sandwich
+    window in ascending order; only non-decreasing vectors are chains.
+    """
+    length = inst.n + inst.m
+    per_factor = [
+        [
+            vec
+            for vec in itertools.product(
+                *(sandwich_window(inst, factor.label, q) for q in range(1, length + 1))
+            )
+            if all(a <= b for a, b in zip(vec, vec[1:]))
+        ]
+        for factor in inst.factors
+    ]
+    for vectors in itertools.product(*per_factor):
+        chain = PolyChain(length, dict(zip(inst.factors, vectors)))
+        if verify_theorem_conclusion(inst, BetaCertificate(chain)):
+            return chain
+    return None
+
+
+class TestDirectMassWindow:
+    def test_certificate_is_the_first_verifying_chain_of_the_plain_enumeration(self):
+        for inst in generated_theorem_instances(400, seed=4242):
+            report = solve_theorem_direct(inst)
+            assert report.outcome == FOUND
+            assert report.certificate.beta == first_verifying_chain(inst)
+
+    def test_every_verified_leaf_has_the_target_mass(self, monkeypatch):
+        leaves = []
+
+        def recording(inst, certificate):
+            leaves.append((inst, certificate.beta))
+            return verify_theorem_conclusion(inst, certificate)
+
+        monkeypatch.setattr(solve_module, "verify_theorem_conclusion", recording)
+        for inst in generated_theorem_instances(300, seed=2424):
+            assert solve_theorem_direct(inst).outcome == FOUND
+        assert len(leaves) >= 300
+        for inst, beta in leaves:
+            assert mass(inst, beta) == weight(inst.c_plus) + mass(inst, inst.alpha)
+
+
+class TestSearchTooDeep:
+    def test_splitting_search_reports_its_positions(self):
+        inst = lemma([((1,) * 1500, ())], (1,) * 1500, ())
+        assert inst.premise_holds
+        with pytest.raises(SearchTooDeep, match="1500 positions"):
+            solve_lemma(inst)
+
+    def test_direct_search_reports_its_positions(self):
+        chain = PolyChain(1200, {X: (0,) * 1200})
+        inst = TheoremInstance(chain, chain, Partition(), Partition(), m=0, p=0)
+        with pytest.raises(SearchTooDeep, match="1200 positions"):
+            solve_theorem_direct(inst)
