@@ -17,7 +17,10 @@ value that triggered them, so every value in the root window is tried and
 costs one node and one trace entry.  Node counts are part of a solve's
 output and the trace hash pins the explored tree, so this root-window rule
 keeps both equal to those of a search that runs one sub-search per
-first-position value.
+first-position value.  Each splitting-search node reads precomputed sums,
+a shortfall row and two prefix scans run inside C builtins (see
+``_SplitSearch``); they decide exactly what the plain per-value sums would,
+so node counts and traces do not depend on how the checks are computed.
 
 The direct chain search also clamps each position's window by mass: every
 solution has sum deg*|beta_f| == |c+| + sum deg*|alpha_f|, because under the
@@ -39,6 +42,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
+from operator import le
 
 from .chains import PolyChain
 from .errors import NonLinearFactor, PremiseViolation, SearchTooDeep
@@ -115,113 +119,119 @@ def _sums_after(values) -> list[int]:
     return sums[1:]
 
 
+class _Shortfall(dict):
+    """Shortfall row of one position: ``short[v] == sum(max(0, part - v) for part in tail)``.
+
+    ``tail`` is the rest of the pair's d after the position.  An entry is
+    computed the first time the search asks for it and kept, so a row costs
+    nothing to set up and never holds more entries than the search has
+    nodes, however large the parts are.
+    """
+
+    __slots__ = ("tail",)
+
+    def __missing__(self, v):
+        short = self[v] = sum(part - v for part in self.tail if part > v)
+        return short
+
+
 class _SplitSearch:
     """DFS over candidate splittings f^i with t^i <= f^i <= d^i.
 
-    Constraints checked incrementally, with ``w`` scaling every gap:
-    the scaled lower gaps must pool to exactly |A| without any sorted
-    prefix exceeding A's, and symmetrically for the upper gaps and B.
-    Bounds on each candidate value come from the remaining mass on both
-    sides; subtrees whose remaining positions cannot close the mass gap
-    are cut.
+    Every gap is scaled by ``w``: the scaled lower gaps f - t must pool to
+    exactly |A| with no sorted prefix above A's, and the scaled upper gaps
+    d - f likewise against B.  With ca and cb the unscaled lower and upper
+    gaps committed so far, position (i, j) of pair (d, t) tries the values
+    v from lo = max(t[j], d[j] - (|B|//w - cb)) up to hi = min(d[j], the
+    pair's previous value, t[j] + |A|//w - ca).  So every value keeps
+    w*ca <= |A| and w*cb <= |B|.
+
+    Each value tried costs one node and at most four checks, each O(1)
+    Python work or one pass inside C builtins:
+
+    * upper mass: cb + (d[j] - v) plus ``rest``, the gap total of all later
+      positions, must reach ceil(|B|/w);
+    * lower mass: ca + (v - t[j]) plus what the later positions can still
+      add must reach ceil(|A|/w).  A later position u of the same pair adds
+      at most min(d[u], v) - t[u], because f is a partition; a later pair
+      adds at most its gaps.  That is ``rest - short[v]``, where the
+      shortfall row ``short`` holds sum(max(0, d[u] - v) for u > j): the
+      sum of the parts after the v-th of the conjugate of d's tail
+      (d[j+1], d[j+2], ...), so 0 once v >= d[j+1];
+    * lower and upper prefix: the committed scaled gaps, sorted, must have
+      every top-r sum at most A's (B's) r-th prefix sum.  Ranks past len(A)
+      need no check, since their sums are at most w*ca <= |A| (and
+      w*cb <= |B|).  Both run as ``all(map(le, accumulate(...), pre))``.
     """
 
     def __init__(self, inst: LemmaInstance, w: int):
         self.w = w
         # t <= d componentwise, so d's length covers both.
-        self.pair_data = [(d.parts, t.pad(len(d))) for d, t in inst.pairs]
-        self.positions = [
-            (i, j)
-            for i, (d, _) in enumerate(self.pair_data)
-            for j in range(len(d))
-        ]
-        self.num_positions = len(self.positions)
-        pair_gaps = [[dv - tv for dv, tv in zip(d, t)] for d, t in self.pair_data]
-        gaps = [gap for row in pair_gaps for gap in row]
-        # Gaps available strictly after each pair and each position, ignoring caps.
-        self.after_pair = _sums_after([sum(row) for row in pair_gaps])
-        self.rest_after = _sums_after(gaps)
+        pairs = [(d.parts, t.pad(len(d))) for d, t in inst.pairs]
+        self.floors = [t for _, t in pairs]
         self.total_a = weight(inst.A)
         self.total_b = weight(inst.B)
         self.pre_a = list(accumulate(inst.A.parts))
         self.pre_b = list(accumulate(inst.B.parts))
+        gaps = [dv - tv for d, t in pairs for dv, tv in zip(d, t)]
         self.space_size = prod(gap + 1 for gap in gaps)
-
-    def _solution_from(self, assigned) -> tuple[Partition, ...]:
-        return tuple(Partition(values) for values in assigned)
-
-    def _value_bounds(self, d, t, j, cap_prev, ca, cb):
-        w = self.w
-        hi = d[j] if d[j] < cap_prev else cap_prev
-        allow_a = (self.total_a - w * ca) // w
-        if t[j] + allow_a < hi:
-            hi = t[j] + allow_a
-        lo = t[j]
-        allow_b = (self.total_b - w * cb) // w
-        if d[j] - allow_b > lo:
-            lo = d[j] - allow_b
-        return lo, hi
+        rest_after = _sums_after(gaps)
+        # One step per position: pair, index, d[j], t[j], later gaps, shortfall row.
+        self.steps = []
+        for i, (d, t) in enumerate(pairs):
+            for j in range(len(d)):
+                short = _Shortfall()
+                short.tail = d[j + 1:]
+                self.steps.append((i, j, d[j], t[j], rest_after[len(self.steps)], short))
+        self.num_positions = len(self.steps)
 
     def run(self, cap: int, trace=None):
         w = self.w
-        positions = self.positions
-        pair_data = self.pair_data
-        rest_after = self.rest_after
-        after_pair = self.after_pair
+        steps = self.steps
+        num_positions = self.num_positions
         total_a, total_b = self.total_a, self.total_b
+        limit_a, limit_b = total_a // w, total_b // w
+        need_a, need_b = -(-total_a // w), -(-total_b // w)
         pre_a, pre_b = self.pre_a, self.pre_b
-        len_a, len_b = len(pre_a), len(pre_b)
-
-        assigned = [list(t) for _, t in pair_data]
+        assigned = [list(t) for t in self.floors]
         lower_gaps: list[int] = []  # committed scaled gaps, ascending
         upper_gaps: list[int] = []
         nodes = 0
 
-        def prefix_ok(values, pre, length, total) -> bool:
-            run = 0
-            rank = 0
-            for value in reversed(values):
-                run += value
-                rank += 1
-                if run > (pre[rank - 1] if rank <= length else total):
-                    return False
-            return True
-
         def descend(pos_idx: int, ca: int, cb: int) -> bool:
             nonlocal nodes
-            if pos_idx == self.num_positions:
+            if pos_idx == num_positions:
                 return w * ca == total_a and w * cb == total_b
-            i, j = positions[pos_idx]
-            d, t = pair_data[i]
-            cap_prev = assigned[i][j - 1] if j else d[j]
-            lo, hi = self._value_bounds(d, t, j, cap_prev, ca, cb)
-            rest = rest_after[pos_idx]
+            i, j, dj, tj, rest, short = steps[pos_idx]
+            values = assigned[i]
+            hi = values[j - 1] if j and values[j - 1] < dj else dj
+            if tj + limit_a - ca < hi:
+                hi = tj + limit_a - ca
+            lo = dj - (limit_b - cb)
+            if lo < tj:
+                lo = tj
             for value in range(lo, hi + 1):
                 if nodes >= cap:
                     raise _BudgetHit
                 nodes += 1
                 if trace is not None:
                     trace.update(b"%d:%d;" % (pos_idx, value))
-                gap_lower = value - t[j]
-                gap_upper = d[j] - value
+                gap_lower = value - tj
+                gap_upper = dj - value
                 ca2 = ca + gap_lower
                 cb2 = cb + gap_upper
-                if w * (cb2 + rest) < total_b:
+                if cb2 + rest < need_b:
                     # The root tries its whole window, so node counts and traces stay put.
                     if pos_idx == 0:
                         continue
                     break  # larger values shrink the upper side further
-                gain = 0
-                for u in range(j + 1, len(d)):
-                    top = d[u] if d[u] < value else value
-                    gain += top - t[u]
-                if w * (ca2 + gain + after_pair[i]) < total_a:
+                if ca2 + rest - short[value] < need_a:
                     continue  # larger values can still reach the lower total
                 scaled_lower = w * gap_lower
                 scaled_upper = w * gap_upper
                 if gap_lower:
                     insort(lower_gaps, scaled_lower)
-                    if not prefix_ok(lower_gaps, pre_a, len_a, total_a):
+                    if not all(map(le, accumulate(reversed(lower_gaps)), pre_a)):
                         lower_gaps.remove(scaled_lower)
                         # As above, the root tries its whole window.
                         if pos_idx == 0:
@@ -229,12 +239,12 @@ class _SplitSearch:
                         break  # larger values make this prefix worse
                 if gap_upper:
                     insort(upper_gaps, scaled_upper)
-                    if not prefix_ok(upper_gaps, pre_b, len_b, total_b):
+                    if not all(map(le, accumulate(reversed(upper_gaps)), pre_b)):
                         upper_gaps.remove(scaled_upper)
                         if gap_lower:
                             lower_gaps.remove(scaled_lower)
                         continue  # larger values shrink this gap
-                assigned[i][j] = value
+                values[j] = value
                 if descend(pos_idx + 1, ca2, cb2):
                     return True
                 if gap_lower:
@@ -245,7 +255,7 @@ class _SplitSearch:
 
         try:
             if descend(0, 0, 0):
-                return FOUND, self._solution_from(assigned), nodes
+                return FOUND, tuple(Partition(values) for values in assigned), nodes
             return NO_SOLUTION, None, nodes
         except _BudgetHit:
             return ABORTED, None, nodes

@@ -1,0 +1,162 @@
+"""The splitting search explores one fixed tree.
+
+The golden digest pins, for about 3,000 seeded random instances (empty pairs
+included) and 600 generated ones: the outcome, certificate, node count and
+space size of ``solve_lemma`` at several budgets, the search trace hash at
+the default budget and at budget 7, and, for single-pair instances, the
+scaled search with w = 2 and 3.  Any change to the order, the pruning or the
+budget handling of the search changes the digest.
+
+The other tests check every shortfall row against a brute-force sum, that
+parts of 10**12 cost no set-up, and the recorded node counts of six
+deep-corpus instances.
+"""
+
+import hashlib
+import random
+from pathlib import Path
+
+from majorchain import (
+    ABORTED,
+    GeneratorConfig,
+    InstanceGenerator,
+    LemmaInstance,
+    Partition,
+    jsonio,
+    search_trace_hash,
+    solve_lemma,
+    solve_scaled_k1,
+)
+from majorchain.solve import _SplitSearch
+
+BUDGETS = (0, 1, 2, 5, 50, 10**6)
+
+# sha256 of the records below, taken from the search before its per-node checks were
+# rewritten; the rewrite must leave every record unchanged.
+GOLDEN = "7124d19e24da61d38619c34974fabfcd322e17b722e654601358e06d714d0b55"
+
+
+def random_partition(rng, max_len, max_part):
+    return sorted((rng.randint(0, max_part) for _ in range(rng.randint(0, max_len))), reverse=True)
+
+
+def random_instance(rng):
+    """Random pairs; half the time A and B pool the gaps of a random f, so a splitting exists."""
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        d = random_partition(rng, 5, 6)
+        t = []
+        for part in d:
+            t.append(min(rng.randint(0, part), t[-1] if t else part))
+        while t and t[-1] == 0:
+            t.pop()
+        pairs.append((d, t))
+    if rng.random() < 0.5:
+        A = random_partition(rng, 5, 6)
+        B = random_partition(rng, 5, 6)
+    else:
+        lower, upper = [], []
+        for d, t in pairs:
+            f = []
+            for j, part in enumerate(d):
+                low = t[j] if j < len(t) else 0
+                f.append(rng.randint(low, min(part, f[-1] if f else part)))
+            lower += [fv - (t[j] if j < len(t) else 0) for j, fv in enumerate(f)]
+            upper += [dv - fv for dv, fv in zip(d, f)]
+        A = sorted((g for g in lower if g), reverse=True)
+        B = sorted((g for g in upper if g), reverse=True)
+    return LemmaInstance(
+        tuple((Partition(d), Partition(t)) for d, t in pairs), Partition(A), Partition(B)
+    )
+
+
+def instances():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        yield random_instance(rng)
+    for seed in range(300):
+        config = GeneratorConfig(seed=seed, k=1 + seed % 3, s=2 + seed % 3, max_part=3 + seed % 2)
+        stream = InstanceGenerator(config)
+        yield stream.lemma_instance()
+        yield stream.lemma_instance()
+
+
+def parts(partitions):
+    return tuple(f.parts for f in partitions)
+
+
+def report_record(report):
+    certificate = None if report.certificate is None else parts(report.certificate.fs)
+    return (report.outcome, certificate, report.nodes, report.space_size)
+
+
+def record(inst):
+    out = [parts(p for pair in inst.pairs for p in pair), inst.A.parts, inst.B.parts]
+    out += [report_record(solve_lemma(inst, budget=budget)) for budget in BUDGETS]
+    out += [search_trace_hash(inst), search_trace_hash(inst, budget=7)]
+    if len(inst.pairs) == 1:
+        (d, t), = inst.pairs
+        out += [
+            report_record(solve_scaled_k1(d, t, inst.A, inst.B, w, budget=budget))
+            for w in (2, 3)
+            for budget in (2, 10**6)
+        ]
+    return repr(out).encode()
+
+
+def test_explored_tree_is_pinned():
+    digest = hashlib.sha256()
+    for inst in instances():
+        digest.update(record(inst))
+        digest.update(b"\n")
+    assert digest.hexdigest() == GOLDEN
+
+
+def brute_shortfall(d, j, v):
+    return sum(max(0, d[u] - v) for u in range(j + 1, len(d)))
+
+
+def test_shortfall_rows_match_brute_force():
+    rng = random.Random(7)
+    for _ in range(400):
+        inst = random_instance(rng)
+        search = _SplitSearch(inst, 1)
+        search.run(10**6)
+        expected_steps = [
+            (i, j) for i, (d, _) in enumerate(inst.pairs) for j in range(len(d))
+        ]
+        assert [step[:2] for step in search.steps] == expected_steps
+        gaps = [dv - tv for d, t in inst.pairs for dv, tv in zip(d.parts, t.pad(len(d)))]
+        for pos, (i, j, dj, tj, rest, short) in enumerate(search.steps):
+            d, t = inst.pairs[i]
+            assert (dj, tj, rest) == (d.parts[j], t.pad(len(d))[j], sum(gaps[pos + 1:]))
+            # Entries the search filled, then every value up to past d[0].
+            for v, value in list(short.items()):
+                assert value == brute_shortfall(d.parts, j, v)
+            for v in range(d.parts[0] + 2):
+                assert short[v] == brute_shortfall(d.parts, j, v)
+
+
+def test_huge_parts_cost_no_set_up():
+    big = 10**12
+    inst = LemmaInstance(
+        ((Partition([big, big]), Partition([])),), Partition([big]), Partition([big])
+    )
+    search = _SplitSearch(inst, 1)
+    outcome, _, nodes = search.run(1000)
+    assert (outcome, nodes) == (ABORTED, 1000)
+    assert sum(len(step[-1]) for step in search.steps) <= nodes
+
+
+def test_deep_corpus_node_counts_are_the_recorded_ones():
+    corpus = Path(__file__).resolve().parents[1] / "bench" / "deep_corpus.json"
+    records = jsonio.load_json(corpus.read_text(encoding="utf-8"))["instances"]
+    # The first four found and the first two with no splitting.
+    found = [record for record in records if record["outcome"] == "found"][:4]
+    none = [record for record in records if record["outcome"] == "none"][:2]
+    for record in found + none:
+        report = solve_lemma(jsonio.parse_lemma_instance(record["instance"]))
+        assert report.outcome == record["outcome"]
+        assert report.nodes == record["nodes"]
+        if record["certificate"] is not None:
+            assert [list(f.parts) for f in report.certificate.fs] == record["certificate"]
