@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -9,7 +10,7 @@ from majorchain import (
     Partition,
     PolyChain,
 )
-from majorchain import jsonio
+from majorchain import cli, jsonio
 from majorchain.cli import cli_dispatch
 
 
@@ -362,3 +363,69 @@ class TestInputsBeyondTheInterpreter:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+class TestParserReuse:
+    """The parser is built once per process; no state carries over between calls."""
+
+    def sequence(self, tmp_path):
+        deep = write(
+            tmp_path,
+            "big.json",
+            {"pairs": [{"d": [3, 2, 1], "t": []}] * 2, "A": [3, 3], "B": [3, 3]},
+        )
+        single = write(
+            tmp_path, "single.json", {"pairs": [{"d": [2, 1], "t": [1]}], "A": [1], "B": [1]}
+        )
+        solve = ["solve", "--mode", "lemma", "--report-dir", str(tmp_path), "--instance"]
+        return [
+            solve + [deep, "--budget", "2"],
+            solve + [deep],
+            ["gen", "--seed", "1", "--k", "3"],
+            ["gen", "--seed", "1"],
+            solve + [single, "--weight", "2"],
+            solve + [single],
+            ["frobnicate"],
+            ["gen", "--seed", "1"],
+            ["solve", "--instance", single],
+            solve + [single],
+            ["--help"],
+            ["solve", "--help"],
+        ]
+
+    def outputs(self, capsys, sequence):
+        results = []
+        for argv in sequence:
+            code = cli_dispatch(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_each_call_matches_a_freshly_built_parser(self, capsys, tmp_path, monkeypatch):
+        sequence = self.sequence(tmp_path)
+        reused = self.outputs(capsys, sequence)
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = self.outputs(capsys, sequence)
+        assert reused == fresh
+        codes = [code for code, _, _ in reused]
+        assert codes == [3, 0, 0, 0, 1, 0, 2, 0, 2, 0, 0, 0]
+        assert json.loads(reused[0][1])["budget"] == 2
+        assert json.loads(reused[1][1])["budget"] == 1000000
+        assert reused[2][1] != reused[3][1]
+        assert json.loads(reused[5][1])["certificate"] == {"fs": [[1, 1]]}
+        assert reused[10][1] != reused[11][1]
+
+    def test_dispatches_share_one_parser(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        for argv in (["gen", "--seed", "1"], ["frobnicate"], ["repro-counterexample"]):
+            cli_dispatch(argv)
+        capsys.readouterr()
+        assert len(parsers) == 3
+        assert parsers[0] is parsers[1] is parsers[2] is cli._build_parser()
