@@ -276,6 +276,15 @@ def pi_degree(i: int, delta: PolyChain, epsilon: PolyChain) -> int:
     return _lcm_degrees(delta, epsilon, range(i, i + 1))[0]
 
 
+def _require_sandwich(delta: PolyChain, epsilon: PolyChain, y: int) -> None:
+    """Raise :class:`InterlaceViolation` unless the pair is sandwiched (see interlace_check)."""
+    if not interlace_check(delta, epsilon, y):
+        raise InterlaceViolation(
+            "the divisibility sandwich does not hold; the degree sequence is "
+            "undefined for this pair"
+        )
+
+
 def sigma_degree_sequence(delta: PolyChain, epsilon: PolyChain, y: int) -> Partition:
     """Degrees of the successive lcm-product quotients, largest shift first.
 
@@ -289,11 +298,7 @@ def sigma_degree_sequence(delta: PolyChain, epsilon: PolyChain, y: int) -> Parti
     computes all y+1 lcm-product degrees, O(x+y) per factor and shift, so
     O(k*y*(x+y)) for inner length x.
     """
-    if not interlace_check(delta, epsilon, y):
-        raise InterlaceViolation(
-            "the divisibility sandwich does not hold; the degree sequence is "
-            "undefined for this pair"
-        )
+    _require_sandwich(delta, epsilon, y)
     return _sigma_of_sandwich(delta, epsilon, y)
 
 
@@ -318,11 +323,7 @@ def sigma_identity_rhs(delta: PolyChain, epsilon: PolyChain, y: int) -> Partitio
     :func:`sigma_degree_sequence` it raises :class:`InterlaceViolation` on a
     pair that fails :func:`interlace_check`.
     """
-    if not interlace_check(delta, epsilon, y):
-        raise InterlaceViolation(
-            "the divisibility sandwich does not hold; the degree sequence is "
-            "undefined for this pair"
-        )
+    _require_sandwich(delta, epsilon, y)
     total = Partition()
     for label, degree in sorted(_merged_degrees(delta, epsilon).items()):
         inner = dual(delta.factor_partition(label))

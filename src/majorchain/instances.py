@@ -357,6 +357,19 @@ def verify_lemma_conclusion(inst: LemmaInstance, certificate: FCertificate) -> b
     return _verdict(check_lemma_conclusion(inst, certificate))
 
 
+def _require_translatable(inst: TheoremInstance, scope: str) -> None:
+    """Raise unless every factor has degree 1 and then the premises hold.
+
+    The precondition of the translation and of the direct chain search;
+    ``scope`` ends the :class:`NonLinearFactor` message.
+    """
+    for factor in inst.factors:
+        if factor.degree != 1:
+            raise NonLinearFactor(f"factor {factor.label!r} has degree {factor.degree}; {scope}")
+    if not verify_theorem_premises(inst):
+        raise PremiseViolation("the chain-completion premises do not hold")
+
+
 def theorem_to_lemma(inst: TheoremInstance) -> LemmaInstance:
     """Translate a chain-completion instance into a partition-splitting one.
 
@@ -366,14 +379,7 @@ def theorem_to_lemma(inst: TheoremInstance) -> LemmaInstance:
     premises hold and every factor has degree 1.  The result's first part of
     A is m and of B is p, and its premise holds whenever the input's did.
     """
-    for factor in inst.factors:
-        if factor.degree != 1:
-            raise NonLinearFactor(
-                f"factor {factor.label!r} has degree {factor.degree}; the "
-                "translation requires degree-1 factors"
-            )
-    if not verify_theorem_premises(inst):
-        raise PremiseViolation("the chain-completion premises do not hold")
+    _require_translatable(inst, "the translation requires degree-1 factors")
     pairs = tuple(
         (
             dual(inst.gamma.factor_partition(factor.label)),

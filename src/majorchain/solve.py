@@ -29,34 +29,35 @@ majorization needs it to equal |c+|.  A search that recurses deeper than the
 interpreter allows raises :class:`~majorchain.errors.SearchTooDeep` naming
 its number of positions.
 
-Every found certificate is passed through a verifier of
-:mod:`majorchain.instances` before being reported; the two splitting solvers
-share one body that uses the one splitting check there, with their weight.
-A disagreement would be an engine bug and raises RuntimeError.
+``_run`` builds every report.  Every found certificate is passed through a
+verifier of :mod:`majorchain.instances` before being reported; the two
+splitting solvers share one body that uses the one splitting check there,
+with their weight.  A disagreement would be an engine bug and raises
+RuntimeError.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import prod
 from operator import le
 
 from .chains import PolyChain
-from .errors import NonLinearFactor, PremiseViolation, SearchTooDeep
+from .errors import SearchTooDeep
 from .instances import (
     BetaCertificate,
     FCertificate,
     LemmaInstance,
     TheoremInstance,
+    _require_translatable,
     _splitting_checks,
     _verdict,
     f_to_beta,
     theorem_to_lemma,
     verify_theorem_conclusion,
-    verify_theorem_premises,
 )
 from .partitions import Partition, weight
 
@@ -91,25 +92,27 @@ class _BudgetHit(Exception):
     pass
 
 
-def _run(search, budget: int, workers: int, trace=None):
-    """Validate the arguments and run the one depth-first search.
+def _run(search, budget: int, workers: int, trace=None) -> SolveReport:
+    """Validate the arguments, run the one depth-first search and report it.
 
-    Returns ``(outcome, solution, nodes)``.  ``workers`` is validated and
-    otherwise ignored: the search is sequential.  With no positions the
-    search is just the leaf test, which costs 0 nodes.  The module docstring
-    gives the root-window rule that keeps node counts and traces fixed.
+    Every :class:`SolveReport` is built here from the search's ``(outcome,
+    certificate, nodes)``.  ``workers`` is validated and otherwise ignored:
+    the search is sequential.  With no positions the search is just the leaf
+    test, which costs 0 nodes.  The module docstring gives the root-window
+    rule that keeps node counts and traces fixed.
     """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     try:
-        return search.run(budget, trace)
+        outcome, certificate, nodes = search.run(budget, trace)
     except RecursionError:
         raise SearchTooDeep(
             f"the search has {search.num_positions} positions, more than the "
             "interpreter's recursion limit allows"
         ) from None
+    return SolveReport(outcome, certificate, nodes, budget, search.space_size)
 
 
 def _sums_after(values) -> list[int]:
@@ -255,7 +258,7 @@ class _SplitSearch:
 
         try:
             if descend(0, 0, 0):
-                return FOUND, tuple(Partition(values) for values in assigned), nodes
+                return FOUND, FCertificate(tuple(Partition(values) for values in assigned)), nodes
             return NO_SOLUTION, None, nodes
         except _BudgetHit:
             return ABORTED, None, nodes
@@ -285,33 +288,33 @@ class _ChainSearch:
         self.factors = inst.factors
         n, m, p = inst.n, inst.m, inst.p
         self.chain_length = n + m
-        self.positions = [
-            (fi, q)
-            for fi in range(len(self.factors))
-            for q in range(1, self.chain_length + 1)
-        ]
-        self.num_positions = len(self.positions)
-        self.bounds = []
+        windows = []
         size = 1
-        for fi, q in self.positions:
-            label = self.factors[fi].label
-            gamma_lo = inst.gamma.exponent(label, q)
-            gamma_hi = inst.gamma.exponent(label, q + p)
-            alpha_lo = inst.alpha.exponent(label, q - m) if q - m >= 1 else 0
-            alpha_hi = inst.alpha.exponent(label, q) if q <= n else None
-            lo = max(gamma_lo, alpha_lo)
-            hi = gamma_hi if alpha_hi is None or gamma_hi <= alpha_hi else alpha_hi
-            self.bounds.append((lo, hi))
-            size *= max(gamma_hi - gamma_lo + 1, 0)
+        for fi, factor in enumerate(self.factors):
+            label = factor.label
+            for q in range(1, self.chain_length + 1):
+                gamma_lo = inst.gamma.exponent(label, q)
+                gamma_hi = inst.gamma.exponent(label, q + p)
+                alpha_lo = inst.alpha.exponent(label, q - m) if q - m >= 1 else 0
+                alpha_hi = inst.alpha.exponent(label, q) if q <= n else None
+                lo = max(gamma_lo, alpha_lo)
+                hi = gamma_hi if alpha_hi is None or gamma_hi <= alpha_hi else alpha_hi
+                windows.append((fi, q, factor.degree, lo, hi))
+                size *= max(gamma_hi - gamma_lo + 1, 0)
         self.space_size = size
-        self.degrees = [self.factors[fi].degree for fi, _ in self.positions]
-        self.target = weight(inst.c_plus) + sum(
+        target = weight(inst.c_plus) + sum(
             factor.degree * sum(inst.alpha.exponent_vector(factor.label))
             for factor in self.factors
         )
-        # Least and most mass the positions after each one can add.
-        self.low_after = _sums_after([deg * lo for deg, (lo, _) in zip(self.degrees, self.bounds)])
-        self.high_after = _sums_after([deg * hi for deg, (_, hi) in zip(self.degrees, self.bounds)])
+        # One step per position: (fi, q, degree, lo, hi, room, excess).  room is target minus
+        # the least mass the later positions add, excess their most mass minus target.
+        low_after = _sums_after([deg * lo for _, _, deg, lo, _ in windows])
+        high_after = _sums_after([deg * hi for _, _, deg, _, hi in windows])
+        self.steps = [
+            (*window, target - low, high - target)
+            for window, low, high in zip(windows, low_after, high_after)
+        ]
+        self.num_positions = len(self.steps)
 
     def _certificate_from(self, assigned) -> BetaCertificate:
         chain = PolyChain(
@@ -321,38 +324,31 @@ class _ChainSearch:
         return BetaCertificate(chain)
 
     def run(self, cap: int, trace=None):
-        positions = self.positions
-        bounds = self.bounds
-        degrees = self.degrees
-        target = self.target
-        low_after, high_after = self.low_after, self.high_after
+        """``trace`` keeps the shape of every ``run``; no caller traces this search."""
+        steps = self.steps
+        num_positions = self.num_positions
         assigned = [[0] * self.chain_length for _ in self.factors]
         nodes = 0
 
         def descend(pos_idx: int, mass: int) -> bool:
             nonlocal nodes
-            if pos_idx == self.num_positions:
+            if pos_idx == num_positions:
                 return verify_theorem_conclusion(
                     self.inst, self._certificate_from(assigned)
                 )
-            fi, q = positions[pos_idx]
-            lo, hi = bounds[pos_idx]
+            fi, q, deg, lo, hi, room, excess = steps[pos_idx]
             if q >= 2 and assigned[fi][q - 2] > lo:
                 lo = assigned[fi][q - 2]
-            deg = degrees[pos_idx]
-            need = target - mass
-            top = (need - low_after[pos_idx]) // deg
+            top = (room - mass) // deg
             if top < hi:
                 hi = top
-            bottom = -((high_after[pos_idx] - need) // deg)  # ceiling division
+            bottom = -((excess + mass) // deg)  # ceiling division
             if bottom > lo:
                 lo = bottom
             for value in range(lo, hi + 1):
                 if nodes >= cap:
                     raise _BudgetHit
                 nodes += 1
-                if trace is not None:
-                    trace.update(b"%d:%d;" % (pos_idx, value))
                 assigned[fi][q - 1] = value
                 if descend(pos_idx + 1, mass + deg * value):
                     return True
@@ -370,14 +366,12 @@ def _solve_splitting(
     inst: LemmaInstance, w: int, budget: int, workers: int, trace=None
 ) -> SolveReport:
     """Search for a splitting with every gap scaled by ``w`` and verify it."""
-    search = _SplitSearch(inst, w)
-    outcome, solution, nodes = _run(search, budget, workers, trace)
-    certificate = None
-    if outcome == FOUND:
-        certificate = FCertificate(solution)
-        if not _verdict(_splitting_checks(inst.pairs, solution, inst.A, inst.B, w)):
-            raise RuntimeError("internal error: a found splitting failed verification")
-    return SolveReport(outcome, certificate, nodes, budget, search.space_size)
+    report = _run(_SplitSearch(inst, w), budget, workers, trace)
+    if report.found and not _verdict(
+        _splitting_checks(inst.pairs, report.certificate.fs, inst.A, inst.B, w)
+    ):
+        raise RuntimeError("internal error: a found splitting failed verification")
+    return report
 
 
 def solve_lemma(
@@ -431,14 +425,13 @@ def solve_theorem(
     instance.  Raises PremiseViolation (or NonLinearFactor) when the
     translation is not defined.
     """
-    translated = theorem_to_lemma(inst)
-    report = solve_lemma(translated, budget, workers)
-    if report.outcome != FOUND:
-        return SolveReport(report.outcome, None, report.nodes, budget, report.space_size)
+    report = solve_lemma(theorem_to_lemma(inst), budget, workers)
+    if not report.found:
+        return report
     beta = f_to_beta(inst, report.certificate)
     if not verify_theorem_conclusion(inst, beta):
         raise RuntimeError("internal error: transported certificate failed verification")
-    return SolveReport(FOUND, beta, report.nodes, budget, report.space_size)
+    return replace(report, certificate=beta)
 
 
 def solve_theorem_direct(
@@ -450,20 +443,14 @@ def solve_theorem_direct(
 
     Independent cross-check for :func:`solve_theorem`: enumerates candidate
     chains inside the outer chain's exponent bounds and tests the conclusion
-    conditions directly, touching none of the translation machinery.  The
-    two searches must agree on existence; their certificates may differ.
+    conditions directly.  It shares only the precondition with the
+    translation (every factor has degree 1, then the premises hold; raises
+    NonLinearFactor or PremiseViolation otherwise) and none of its
+    machinery.  The two searches must agree on existence; their certificates
+    may differ.
     """
-    for factor in inst.factors:
-        if factor.degree != 1:
-            raise NonLinearFactor(
-                f"factor {factor.label!r} has degree {factor.degree}; the "
-                "cross-check covers the degree-1 regime only"
-            )
-    if not verify_theorem_premises(inst):
-        raise PremiseViolation("the chain-completion premises do not hold")
-    search = _ChainSearch(inst)
-    outcome, certificate, nodes = _run(search, budget, workers)
-    return SolveReport(outcome, certificate, nodes, budget, search.space_size)
+    _require_translatable(inst, "the cross-check covers the degree-1 regime only")
+    return _run(_ChainSearch(inst), budget, workers)
 
 
 def search_trace_hash(inst: LemmaInstance, budget: int = DEFAULT_BUDGET) -> str:

@@ -1,14 +1,18 @@
 import argparse
+import dataclasses
 import json
 
 import pytest
 
 from majorchain import (
+    NO_SOLUTION,
     Factor,
     GeneratorConfig,
     InstanceGenerator,
     Partition,
     PolyChain,
+    search_trace_hash,
+    theorem_to_lemma,
 )
 from majorchain import cli, jsonio
 from majorchain.cli import cli_dispatch
@@ -199,6 +203,77 @@ class TestSolve:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+class TestContradictionTripwire:
+    """A premise-true instance reported ``none`` exits 4 with one bug-report artifact.
+
+    The existence theorem rules that verdict out, so the solvers are replaced
+    by ones that turn their real report into ``none``.
+    """
+
+    @staticmethod
+    def report_none(monkeypatch, name):
+        real = getattr(cli, name)
+
+        def none_report(inst, **kwargs):
+            return dataclasses.replace(real(inst, **kwargs), outcome=NO_SOLUTION, certificate=None)
+
+        monkeypatch.setattr(cli, name, none_report)
+
+    @staticmethod
+    def tripwire(capsys, tmp_path, argv, splitting):
+        report_dir = tmp_path / "reports"
+        report_dir.mkdir()
+        code = cli_dispatch([*argv, "--report-dir", str(report_dir)])
+        captured = capsys.readouterr()
+        assert code == 4
+        [artifact] = report_dir.iterdir()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.err.endswith("\n")
+        assert str(artifact) in lines[0]
+        emitted = json.loads(captured.out)
+        assert emitted["outcome"] == "none"
+        assert json.loads(artifact.read_text(encoding="utf-8")) == {
+            "instance": json.loads(jsonio.dumps(jsonio.lemma_instance_to_obj(splitting))),
+            "report": emitted,
+            "trace_sha256": search_trace_hash(splitting, budget=emitted["budget"]),
+        }
+
+    def test_lemma_mode(self, capsys, tmp_path, monkeypatch):
+        obj = {"pairs": [{"d": [2, 1], "t": [1]}], "A": [1], "B": [1]}
+        inst = jsonio.parse_lemma_instance(obj)
+        assert inst.premise_holds
+        self.report_none(monkeypatch, "solve_lemma")
+        instance = write(tmp_path, "lemma.json", obj)
+        argv = ["solve", "--mode", "lemma", "--instance", instance, "--budget", "50"]
+        self.tripwire(capsys, tmp_path, argv, inst)
+
+    def test_theorem_mode_records_the_translated_instance(
+        self, capsys, tmp_path, monkeypatch, running_files
+    ):
+        instance, _, _ = running_files
+        with open(instance, encoding="utf-8") as handle:
+            inst = jsonio.parse_theorem_instance(json.load(handle))
+        assert inst.premise_holds
+        self.report_none(monkeypatch, "solve_theorem")
+        argv = ["solve", "--mode", "theorem", "--instance", instance]
+        self.tripwire(capsys, tmp_path, argv, theorem_to_lemma(inst))
+
+    def test_premise_false_lemma_none_exits_1_without_an_artifact(self, capsys, tmp_path):
+        instance = write(
+            tmp_path,
+            "bad.json",
+            {"pairs": [{"d": [1, 1], "t": []}], "A": [1, 1], "B": [1, 1]},
+        )
+        report_dir = tmp_path / "reports"
+        report_dir.mkdir()
+        argv = ["solve", "--mode", "lemma", "--instance", instance, "--report-dir", str(report_dir)]
+        code = cli_dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and json.loads(captured.out)["outcome"] == "none"
+        assert captured.err == ""
+        assert list(report_dir.iterdir()) == []
 
 
 class TestTranslate:

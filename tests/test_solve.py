@@ -394,3 +394,38 @@ class TestSearchTooDeep:
         inst = TheoremInstance(chain, chain, Partition(), Partition(), m=0, p=0)
         with pytest.raises(SearchTooDeep, match="1200 positions"):
             solve_theorem_direct(inst)
+
+
+class TestTranslatedReport:
+    """solve_theorem reports the splitting search it ran; only the certificate is transported."""
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 5, None])
+    def test_equals_the_lemma_report(self, budget):
+        kwargs = {} if budget is None else {"budget": budget}
+        outcomes = set()
+        for inst in generated_theorem_instances(40, seed=17):
+            theorem = solve_theorem(inst, **kwargs)
+            splitting = solve_lemma(theorem_to_lemma(inst), **kwargs)
+            assert (theorem.outcome, theorem.nodes, theorem.budget, theorem.space_size) == (
+                splitting.outcome,
+                splitting.nodes,
+                splitting.budget,
+                splitting.space_size,
+            )
+            if theorem.found:
+                assert verify_theorem_conclusion(inst, theorem.certificate)
+            else:
+                assert theorem.certificate is None
+            outcomes.add(theorem.outcome)
+        assert FOUND in outcomes
+        assert (ABORTED in outcomes) == (budget is not None)
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 5])
+    def test_aborted_direct_report_spends_the_whole_budget(self, budget):
+        aborted = 0
+        for inst in generated_theorem_instances(40, seed=17):
+            report = solve_theorem_direct(inst, budget=budget)
+            if report.outcome == ABORTED:
+                assert (report.nodes, report.budget, report.certificate) == (budget, budget, None)
+                aborted += 1
+        assert aborted
