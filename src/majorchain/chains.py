@@ -64,9 +64,11 @@ class PolyChain:
     beside the label-sorted tuple of factors; both orders are the canonical
     one, whatever order the input came in.  The constructor checks shapes
     (vector lengths, nonnegative entries, unique labels) but not the
-    divisibility invariant; use :func:`chain_validate` for that, so that
-    candidate chains read from files can be checked rather than rejected at
-    construction.
+    divisibility invariant; :func:`chain_validate` checks that, so a library
+    caller can build a non-monotone candidate and see the verifier's
+    ``beta-chain-valid`` condition fail.  Chains read from files never get
+    that far: :func:`majorchain.jsonio.parse_chain` rejects non-monotone
+    exponents as malformed input, so ``check --certificate`` exits 2 on them.
     """
 
     __slots__ = ("_length", "_factors", "_vectors")

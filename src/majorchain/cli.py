@@ -12,7 +12,10 @@ Exit codes, mutually exclusive:
 * 0: success (verified, found, translated, identity holds, reproduced);
 * 1: verification failed or nothing found;
 * 2: malformed input, or input a solver cannot handle (``--weight`` outside
-  single-pair splitting instances, a search too deep for the interpreter);
+  single-pair splitting instances, a search too deep for the interpreter,
+  a chain-completion instance with a factor of degree 2 or more given to
+  ``translate``, or to ``solve`` when its premises hold: the translation
+  needs degree-1 factors);
 * 3: node budget exceeded;
 * 4: contradiction tripwire: a premise-satisfying instance with no
   solution, which the existence theorem rules out.  A bug-report artifact
@@ -101,66 +104,53 @@ def _cmd_solve(args) -> int:
     data = _read_json(args.instance)
     if args.mode == "lemma":
         inst = jsonio.parse_lemma_instance(data)
-        if args.weight is not None:
-            if inst.k != 1:
-                raise InputError(
-                    f"the weighted solver handles exactly one pair, got {inst.k}",
-                    path="$.pairs",
-                )
+        missing = "the premise holds but no splitting exists"
+        if args.weight is None:
+            report = solve_lemma(inst, budget=args.budget, workers=args.workers)
+        elif inst.k != 1:
+            raise InputError(
+                f"the weighted solver handles exactly one pair, got {inst.k}",
+                path="$.pairs",
+            )
+        else:
             d, t = inst.pairs[0]
             report = solve_scaled_k1(
                 d, t, inst.A, inst.B, args.weight, budget=args.budget, workers=args.workers
             )
-            _emit(jsonio.solve_report_to_obj(report))
-            return _SOLVE_EXIT.get(report.outcome, EXIT_FAILED)
-        report = solve_lemma(inst, budget=args.budget, workers=args.workers)
-        _emit(jsonio.solve_report_to_obj(report))
-        if report.outcome in _SOLVE_EXIT:
-            return _SOLVE_EXIT[report.outcome]
-        if inst.premise_holds:
-            artifact = jsonio.write_contradiction_report(inst, report, args.report_dir)
-            sys.stderr.write(
-                "contradiction: the premise holds but no splitting exists; "
-                f"report written to {artifact}\n"
+    else:
+        inst = jsonio.parse_theorem_instance(data)
+        missing = "the premises hold but no middle chain exists"
+        if args.weight is not None:
+            raise InputError("--weight applies to single-pair lemma instances only", path="")
+        if not inst.premise_holds:
+            _emit(
+                {
+                    "error": "premises do not hold",
+                    "checks": jsonio.transcript_to_obj(check_theorem_premises(inst)),
+                }
             )
-            return EXIT_CONTRADICTION
-        return EXIT_FAILED
-    inst = jsonio.parse_theorem_instance(data)
-    if args.weight is not None:
-        raise InputError("--weight applies to single-pair lemma instances only", path="")
-    if not inst.premise_holds:
-        _emit(
-            {
-                "error": "premises do not hold",
-                "checks": jsonio.transcript_to_obj(check_theorem_premises(inst)),
-            }
-        )
-        return EXIT_FAILED
-    report = solve_theorem(inst, budget=args.budget, workers=args.workers)
+            return EXIT_FAILED
+        report = solve_theorem(inst, budget=args.budget, workers=args.workers)
     _emit(jsonio.solve_report_to_obj(report))
     if report.outcome in _SOLVE_EXIT:
         return _SOLVE_EXIT[report.outcome]
-    translated = theorem_to_lemma(inst)
-    artifact = jsonio.write_contradiction_report(
-        translated, report, args.report_dir
-    )
-    sys.stderr.write(
-        "contradiction: the premises hold but no middle chain exists; "
-        f"report written to {artifact}\n"
-    )
+    # ``none`` contradicts the existence theorem only for an unweighted search whose
+    # premise holds; the weighted variant is not a theorem.
+    if args.weight is not None or not inst.premise_holds:
+        return EXIT_FAILED
+    splitting = inst if args.mode == "lemma" else theorem_to_lemma(inst)
+    artifact = jsonio.write_contradiction_report(splitting, report, args.report_dir)
+    sys.stderr.write(f"contradiction: {missing}; report written to {artifact}\n")
     return EXIT_CONTRADICTION
 
 
 def _cmd_translate(args) -> int:
     data = _read_json(args.instance)
     if args.mode == "theorem":
-        inst = jsonio.parse_theorem_instance(data)
-        translated = theorem_to_lemma(inst)
-        _emit(jsonio.lemma_instance_to_obj(translated))
+        translated = theorem_to_lemma(jsonio.parse_theorem_instance(data))
     else:
-        inst = jsonio.parse_lemma_instance(data)
-        translated = lemma_to_theorem(inst)
-        _emit(jsonio.theorem_instance_to_obj(translated))
+        translated = lemma_to_theorem(jsonio.parse_lemma_instance(data))
+    _emit(jsonio.instance_to_obj(translated))
     return EXIT_OK
 
 
@@ -197,11 +187,7 @@ def _cmd_gen(args) -> int:
         mode=args.mode,
         use_rejection=args.rejection,
     )
-    generator = InstanceGenerator(config)
-    if args.mode == "theorem":
-        _emit(jsonio.theorem_instance_to_obj(generator.theorem_instance()))
-    else:
-        _emit(jsonio.lemma_instance_to_obj(generator.lemma_instance()))
+    _emit(jsonio.instance_to_obj(InstanceGenerator(config).instance()))
     return EXIT_OK
 
 

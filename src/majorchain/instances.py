@@ -43,7 +43,6 @@ from .errors import (
     ConclusionViolation,
     DominanceViolation,
     LengthMismatch,
-    LengthOverflow,
     NonLinearFactor,
     PremiseViolation,
 )
@@ -424,20 +423,14 @@ def f_to_beta(inst: TheoremInstance, certificate: FCertificate) -> BetaCertifica
     instance in canonical order.  For a certificate that verifies against
     ``theorem_to_lemma(inst)`` the result verifies against ``inst``; an f^i
     whose conjugate does not fit the middle chain (first part beyond n+m)
-    raises :class:`LengthOverflow`, which cannot happen for verified input.
+    makes :meth:`PolyChain.from_partitions` raise
+    :class:`~majorchain.errors.LengthOverflow`, which cannot happen for
+    verified input.
     """
     fs = certificate.fs
     if len(fs) != len(inst.factors):
         raise LengthMismatch(f"{len(fs)} partitions for {len(inst.factors)} factors")
-    rows = {}
-    for factor, f in zip(inst.factors, fs):
-        b = dual(f)
-        if len(b) > inst.n + inst.m:
-            raise LengthOverflow(
-                f"factor {factor.label!r}: conjugate has {len(b)} parts, more than "
-                f"the middle chain length {inst.n + inst.m}"
-            )
-        rows[factor] = b
+    rows = {factor: dual(f) for factor, f in zip(inst.factors, fs)}
     return BetaCertificate(PolyChain.from_partitions(inst.n + inst.m, rows))
 
 

@@ -208,6 +208,12 @@ def parse_theorem_instance(obj: Any, path: str = "$") -> TheoremInstance:
         raise InputError(str(exc), path) from exc
 
 
+def instance_to_obj(inst: LemmaInstance | TheoremInstance) -> dict:
+    if isinstance(inst, LemmaInstance):
+        return lemma_instance_to_obj(inst)
+    return theorem_instance_to_obj(inst)
+
+
 def f_certificate_to_obj(certificate: FCertificate) -> dict:
     return {"fs": [partition_to_obj(f) for f in certificate.fs]}
 

@@ -92,7 +92,7 @@ class _BudgetHit(Exception):
     pass
 
 
-def _run(search, budget: int, workers: int, trace=None) -> SolveReport:
+def _run(search, budget: int, workers: int) -> SolveReport:
     """Validate the arguments, run the one depth-first search and report it.
 
     Every :class:`SolveReport` is built here from the search's ``(outcome,
@@ -106,7 +106,7 @@ def _run(search, budget: int, workers: int, trace=None) -> SolveReport:
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     try:
-        outcome, certificate, nodes = search.run(budget, trace)
+        outcome, certificate, nodes = search.run(budget)
     except RecursionError:
         raise SearchTooDeep(
             f"the search has {search.num_positions} positions, more than the "
@@ -165,10 +165,14 @@ class _SplitSearch:
       every top-r sum at most A's (B's) r-th prefix sum.  Ranks past len(A)
       need no check, since their sums are at most w*ca <= |A| (and
       w*cb <= |B|).  Both run as ``all(map(le, accumulate(...), pre))``.
+
+    Given a ``trace`` (anything with ``update(bytes)``, such as a hashlib
+    object), ``run`` feeds it ``b"<position>:<value>;"`` for every node.
     """
 
-    def __init__(self, inst: LemmaInstance, w: int):
+    def __init__(self, inst: LemmaInstance, w: int, trace=None):
         self.w = w
+        self.trace = trace
         # t <= d componentwise, so d's length covers both.
         pairs = [(d.parts, t.pad(len(d))) for d, t in inst.pairs]
         self.floors = [t for _, t in pairs]
@@ -188,8 +192,9 @@ class _SplitSearch:
                 self.steps.append((i, j, d[j], t[j], rest_after[len(self.steps)], short))
         self.num_positions = len(self.steps)
 
-    def run(self, cap: int, trace=None):
+    def run(self, cap: int):
         w = self.w
+        trace = self.trace
         steps = self.steps
         num_positions = self.num_positions
         total_a, total_b = self.total_a, self.total_b
@@ -323,8 +328,7 @@ class _ChainSearch:
         )
         return BetaCertificate(chain)
 
-    def run(self, cap: int, trace=None):
-        """``trace`` keeps the shape of every ``run``; no caller traces this search."""
+    def run(self, cap: int):
         steps = self.steps
         num_positions = self.num_positions
         assigned = [[0] * self.chain_length for _ in self.factors]
@@ -366,7 +370,7 @@ def _solve_splitting(
     inst: LemmaInstance, w: int, budget: int, workers: int, trace=None
 ) -> SolveReport:
     """Search for a splitting with every gap scaled by ``w`` and verify it."""
-    report = _run(_SplitSearch(inst, w), budget, workers, trace)
+    report = _run(_SplitSearch(inst, w, trace), budget, workers)
     if report.found and not _verdict(
         _splitting_checks(inst.pairs, report.certificate.fs, inst.A, inst.B, w)
     ):

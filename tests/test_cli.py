@@ -275,6 +275,23 @@ class TestContradictionTripwire:
         assert captured.err == ""
         assert list(report_dir.iterdir()) == []
 
+    def test_weighted_none_on_a_premise_true_instance_exits_1_without_an_artifact(
+        self, capsys, tmp_path
+    ):
+        # The unweighted premise holds, (2) against A+B = (2), but no f scales under A = (1).
+        obj = {"pairs": [{"d": [2], "t": []}], "A": [1], "B": [1]}
+        assert jsonio.parse_lemma_instance(obj).premise_holds
+        instance = write(tmp_path, "scaled.json", obj)
+        report_dir = tmp_path / "reports"
+        report_dir.mkdir()
+        argv = ["solve", "--mode", "lemma", "--instance", instance, "--weight", "2",
+                "--report-dir", str(report_dir)]
+        code = cli_dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and json.loads(captured.out)["outcome"] == "none"
+        assert captured.err == ""
+        assert list(report_dir.iterdir()) == []
+
 
 class TestTranslate:
     def test_theorem_to_lemma(self, capsys, running_files):
@@ -309,6 +326,29 @@ class TestTranslate:
         )
         code, _ = run(capsys, ["translate", "--mode", "lemma", "--instance", instance])
         assert code == 1
+
+
+class TestDegreeTwoFactor:
+    """Only degree-1 factors translate, so a premise-true degree-2 instance exits 2."""
+
+    @pytest.mark.parametrize("command", ["solve", "translate"])
+    def test_exits_2_with_one_stderr_line(self, capsys, tmp_path, command):
+        from majorchain import TheoremInstance
+
+        x = Factor("x", 2)
+        inst = TheoremInstance(
+            PolyChain(1, {x: (1,)}), PolyChain(3, {x: (0, 1, 2)}), Partition([1]), Partition([1]),
+            m=1, p=1,
+        )
+        assert inst.premise_holds
+        instance = write(tmp_path, "degree2.json", jsonio.theorem_instance_to_obj(inst))
+        code = cli_dispatch([command, "--mode", "theorem", "--instance", instance])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: factor 'x' has degree 2; the translation requires degree-1 factors\n"
+        )
 
 
 class TestIdentity:
