@@ -369,6 +369,18 @@ def _require_translatable(inst: TheoremInstance, scope: str) -> None:
         raise PremiseViolation("the chain-completion premises do not hold")
 
 
+def _conjugate_rows(chain: PolyChain, factors) -> tuple[Partition, ...]:
+    """Chain to splitting form: its factor partitions' conjugates, in ``factors`` order."""
+    return tuple(dual(chain.factor_partition(factor.label)) for factor in factors)
+
+
+def _chain_of_conjugates(length: int, factors, partitions) -> PolyChain:
+    """Inverse of :func:`_conjugate_rows`: ``factors[i]`` gets ``partitions[i]``'s conjugate."""
+    return PolyChain.from_partitions(
+        length, {factor: dual(part) for factor, part in zip(factors, partitions)}
+    )
+
+
 def theorem_to_lemma(inst: TheoremInstance) -> LemmaInstance:
     """Translate a chain-completion instance into a partition-splitting one.
 
@@ -379,13 +391,8 @@ def theorem_to_lemma(inst: TheoremInstance) -> LemmaInstance:
     A is m and of B is p, and its premise holds whenever the input's did.
     """
     _require_translatable(inst, "the translation requires degree-1 factors")
-    pairs = tuple(
-        (
-            dual(inst.gamma.factor_partition(factor.label)),
-            dual(inst.alpha.factor_partition(factor.label)),
-        )
-        for factor in inst.factors
-    )
+    factors = inst.factors
+    pairs = tuple(zip(_conjugate_rows(inst.gamma, factors), _conjugate_rows(inst.alpha, factors)))
     return LemmaInstance(pairs, dual(inst.c_plus), dual(inst.r_plus))
 
 
@@ -407,12 +414,8 @@ def lemma_to_theorem(inst: LemmaInstance) -> TheoremInstance:
     r = Partition(part - 1 for part in dual(inst.B).parts)
     n = max((t[0] for _, t in inst.pairs), default=0)
     factors = [Factor(f"e{i + 1}") for i in range(inst.k)]
-    alpha = PolyChain.from_partitions(
-        n, {factor: dual(t) for factor, (_, t) in zip(factors, inst.pairs)}
-    )
-    gamma = PolyChain.from_partitions(
-        n + m + p, {factor: dual(d) for factor, (d, _) in zip(factors, inst.pairs)}
-    )
+    alpha = _chain_of_conjugates(n, factors, [t for _, t in inst.pairs])
+    gamma = _chain_of_conjugates(n + m + p, factors, [d for d, _ in inst.pairs])
     return TheoremInstance(alpha, gamma, c, r, m=m, p=p)
 
 
@@ -430,8 +433,7 @@ def f_to_beta(inst: TheoremInstance, certificate: FCertificate) -> BetaCertifica
     fs = certificate.fs
     if len(fs) != len(inst.factors):
         raise LengthMismatch(f"{len(fs)} partitions for {len(inst.factors)} factors")
-    rows = {factor: dual(f) for factor, f in zip(inst.factors, fs)}
-    return BetaCertificate(PolyChain.from_partitions(inst.n + inst.m, rows))
+    return BetaCertificate(_chain_of_conjugates(inst.n + inst.m, inst.factors, fs))
 
 
 def beta_to_f(inst: TheoremInstance, certificate: BetaCertificate) -> FCertificate:
@@ -443,9 +445,4 @@ def beta_to_f(inst: TheoremInstance, certificate: BetaCertificate) -> FCertifica
     """
     if not verify_theorem_conclusion(inst, certificate):
         raise ConclusionViolation("the middle chain does not verify against the instance")
-    return FCertificate(
-        tuple(
-            dual(certificate.beta.factor_partition(factor.label))
-            for factor in inst.factors
-        )
-    )
+    return FCertificate(_conjugate_rows(certificate.beta, inst.factors))

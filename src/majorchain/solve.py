@@ -29,10 +29,11 @@ majorization needs it to equal |c+|.  A search that recurses deeper than the
 interpreter allows raises :class:`~majorchain.errors.SearchTooDeep` naming
 its number of positions.
 
-``_run`` builds every report.  Every found certificate is passed through a
-verifier of :mod:`majorchain.instances` before being reported; the two
-splitting solvers share one body that uses the one splitting check there,
-with their weight.  A disagreement would be an engine bug and raises
+``_run`` builds every report.  Each public solver verifies the certificate
+it reports exactly once, with a verifier of :mod:`majorchain.instances`:
+the splitting solvers run the one splitting check, ``solve_theorem`` checks
+only the chain it transports, and the direct search reports the leaf it
+verified.  A found certificate that fails would be an engine bug and raises
 RuntimeError.
 """
 
@@ -300,7 +301,7 @@ class _ChainSearch:
             for q in range(1, self.chain_length + 1):
                 gamma_lo = inst.gamma.exponent(label, q)
                 gamma_hi = inst.gamma.exponent(label, q + p)
-                alpha_lo = inst.alpha.exponent(label, q - m) if q - m >= 1 else 0
+                alpha_lo = inst.alpha.exponent(label, q - m)
                 alpha_hi = inst.alpha.exponent(label, q) if q <= n else None
                 lo = max(gamma_lo, alpha_lo)
                 hi = gamma_hi if alpha_hi is None or gamma_hi <= alpha_hi else alpha_hi
@@ -321,25 +322,19 @@ class _ChainSearch:
         ]
         self.num_positions = len(self.steps)
 
-    def _certificate_from(self, assigned) -> BetaCertificate:
-        chain = PolyChain(
-            self.chain_length,
-            {factor: tuple(vec) for factor, vec in zip(self.factors, assigned)},
-        )
-        return BetaCertificate(chain)
-
     def run(self, cap: int):
         steps = self.steps
         num_positions = self.num_positions
         assigned = [[0] * self.chain_length for _ in self.factors]
         nodes = 0
 
-        def descend(pos_idx: int, mass: int) -> bool:
+        def descend(pos_idx: int, mass: int) -> BetaCertificate | None:
             nonlocal nodes
             if pos_idx == num_positions:
-                return verify_theorem_conclusion(
-                    self.inst, self._certificate_from(assigned)
+                leaf = BetaCertificate(
+                    PolyChain(self.chain_length, dict(zip(self.factors, map(tuple, assigned))))
                 )
+                return leaf if verify_theorem_conclusion(self.inst, leaf) else None
             fi, q, deg, lo, hi, room, excess = steps[pos_idx]
             if q >= 2 and assigned[fi][q - 2] > lo:
                 lo = assigned[fi][q - 2]
@@ -354,16 +349,16 @@ class _ChainSearch:
                     raise _BudgetHit
                 nodes += 1
                 assigned[fi][q - 1] = value
-                if descend(pos_idx + 1, mass + deg * value):
-                    return True
-            return False
+                found = descend(pos_idx + 1, mass + deg * value)
+                if found is not None:
+                    return found
+            return None
 
         try:
-            if descend(0, 0):
-                return FOUND, self._certificate_from(assigned), nodes
-            return NO_SOLUTION, None, nodes
+            certificate = descend(0, 0)
         except _BudgetHit:
             return ABORTED, None, nodes
+        return (NO_SOLUTION if certificate is None else FOUND), certificate, nodes
 
 
 def _solve_splitting(
@@ -424,12 +419,13 @@ def solve_theorem(
 ) -> SolveReport:
     """Search for a middle chain by translating and splitting.
 
-    Translates the instance, runs :func:`solve_lemma`, and transports the
-    found splitting back to a middle chain, which is verified against the
-    instance.  Raises PremiseViolation (or NonLinearFactor) when the
-    translation is not defined.
+    Translates the instance, runs the splitting search, and transports the
+    found splitting back to a middle chain.  Only that chain is verified,
+    against the instance: a splitting passes the splitting verifier exactly
+    when its transported chain passes the conclusion verifier.  Raises
+    PremiseViolation (or NonLinearFactor) when the translation is undefined.
     """
-    report = solve_lemma(theorem_to_lemma(inst), budget, workers)
+    report = _run(_SplitSearch(theorem_to_lemma(inst), 1), budget, workers)
     if not report.found:
         return report
     beta = f_to_beta(inst, report.certificate)
