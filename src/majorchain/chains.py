@@ -37,6 +37,7 @@ from .errors import (
     LengthMismatch,
     LengthOverflow,
     NotAPartition,
+    _int_argument,
 )
 from .partitions import Partition, as_partition, diff_sorted, dual, plus, scaled
 
@@ -51,10 +52,7 @@ class Factor:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise ValueError("factor label must be a nonempty string")
-        if isinstance(self.degree, bool) or not isinstance(self.degree, int):
-            raise ValueError("factor degree must be an integer")
-        if self.degree < 1:
-            raise ValueError(f"factor degree must be >= 1, got {self.degree}")
+        _int_argument("factor degree", self.degree, minimum=1)
 
 
 class PolyChain:
@@ -78,8 +76,7 @@ class PolyChain:
         length: int,
         exponents: Mapping[Factor, Sequence[int]] | Iterable[tuple[Factor, Sequence[int]]] = (),
     ):
-        if isinstance(length, bool) or not isinstance(length, int) or length < 0:
-            raise ValueError(f"chain length must be a nonnegative integer, got {length!r}")
+        _int_argument("chain length", length)
         items = exponents.items() if isinstance(exponents, Mapping) else exponents
         factors = []
         vectors = {}
@@ -199,6 +196,7 @@ def chain_validate(chain: PolyChain) -> bool:
 
 
 def _merged_degrees(delta: PolyChain, epsilon: PolyChain) -> dict[str, int]:
+    """Each label's degree over both chains; ValueError if the chains disagree on one."""
     degrees: dict[str, int] = {}
     for chain in (epsilon, delta):
         for factor in chain.factors:
@@ -220,8 +218,7 @@ def interlace_check(delta: PolyChain, epsilon: PolyChain, y: int) -> bool:
     epsilon entry divides the matching delta entry, which divides the
     epsilon entry y further along.
     """
-    if isinstance(y, bool) or not isinstance(y, int) or y < 0:
-        raise LengthMismatch(f"gap must be a nonnegative integer, got {y!r}")
+    _int_argument("gap", y, error=LengthMismatch)
     if epsilon.length != delta.length + y:
         raise LengthMismatch(
             f"expected the outer chain to have length {delta.length} + {y}, "

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer-argument rule.
+
+:func:`_int_argument` is that rule for library entry points: a ``bool`` is
+not an integer argument, and the value must reach a floor.  Per-element
+checks on hot paths (partition parts, chain exponents), ``pi_degree``'s
+shift range and the JSON parser's path-carrying checks keep their own.
+"""
 
 
 class MajorchainError(Exception):
@@ -61,3 +67,9 @@ class InputError(MajorchainError, ValueError):
     def __init__(self, message: str, path: str = "$"):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path
+
+
+def _int_argument(name: str, value, minimum: int = 0, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a non-bool ``int`` of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")

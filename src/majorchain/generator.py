@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import _int_argument
 from .instances import LemmaInstance, TheoremInstance, lemma_to_theorem
 from .partitions import Partition, plus
 
@@ -44,16 +45,10 @@ class GeneratorConfig:
     use_rejection: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
-        if self.max_part < 0:
-            raise ValueError(f"max_part must be >= 0, got {self.max_part}")
-        if self.max_transfer_steps < 0:
-            raise ValueError(
-                f"max_transfer_steps must be >= 0, got {self.max_transfer_steps}"
-            )
+        _int_argument("k", self.k, minimum=1)
+        _int_argument("s", self.s, minimum=1)
+        _int_argument("max_part", self.max_part)
+        _int_argument("max_transfer_steps", self.max_transfer_steps)
         if self.mode not in ("lemma", "theorem"):
             raise ValueError(f"mode must be 'lemma' or 'theorem', got {self.mode!r}")
 

@@ -35,6 +35,7 @@ from typing import Iterable
 from .chains import (
     Factor,
     PolyChain,
+    _merged_degrees,
     _sigma_of_sandwich,
     chain_validate,
     interlace_check,
@@ -45,6 +46,7 @@ from .errors import (
     LengthMismatch,
     NonLinearFactor,
     PremiseViolation,
+    _int_argument,
 )
 from .partitions import Partition, as_partition, dual, majorizes, plus, union
 
@@ -67,20 +69,14 @@ class TheoremInstance:
     gamma: PolyChain
     c: Partition
     r: Partition
-    m: int = None  # type: ignore[assignment]  # defaults to len(c)
-    p: int = None  # type: ignore[assignment]  # defaults to len(r)
+    m: int
+    p: int
 
     def __post_init__(self):
         object.__setattr__(self, "c", as_partition(self.c))
         object.__setattr__(self, "r", as_partition(self.r))
-        if self.m is None:
-            object.__setattr__(self, "m", len(self.c))
-        if self.p is None:
-            object.__setattr__(self, "p", len(self.r))
-        for name in ("m", "p"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        _int_argument("m", self.m)
+        _int_argument("p", self.p)
         if len(self.c) > self.m:
             raise ValueError(f"{len(self.c)} column indices do not fit m={self.m}")
         if len(self.r) > self.p:
@@ -94,15 +90,12 @@ class TheoremInstance:
             raise ValueError("the inner chain is not a divisibility chain")
         if not chain_validate(self.gamma):
             raise ValueError("the outer chain is not a divisibility chain")
-        gamma_degrees = {f.label: f.degree for f in self.gamma.factors}
-        for factor in self.alpha.factors:
-            if factor.label not in gamma_degrees:
+        _merged_degrees(self.alpha, self.gamma)
+        outer = set(self.gamma.labels)
+        for label in self.alpha.labels:
+            if label not in outer:
                 raise ValueError(
-                    f"factor {factor.label!r} of the inner chain is missing from the outer chain"
-                )
-            if gamma_degrees[factor.label] != factor.degree:
-                raise ValueError(
-                    f"factor {factor.label!r} has inconsistent degrees across the chains"
+                    f"factor {label!r} of the inner chain is missing from the outer chain"
                 )
 
     @property

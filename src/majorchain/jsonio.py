@@ -214,10 +214,6 @@ def instance_to_obj(inst: LemmaInstance | TheoremInstance) -> dict:
     return theorem_instance_to_obj(inst)
 
 
-def f_certificate_to_obj(certificate: FCertificate) -> dict:
-    return {"fs": [partition_to_obj(f) for f in certificate.fs]}
-
-
 def parse_f_certificate(obj: Any, path: str = "$") -> FCertificate:
     data = _require_object(obj, path, ("fs",))
     return FCertificate(
@@ -226,10 +222,6 @@ def parse_f_certificate(obj: Any, path: str = "$") -> FCertificate:
             for index, entry in enumerate(_require_list(data["fs"], f"{path}.fs"))
         )
     )
-
-
-def beta_certificate_to_obj(certificate: BetaCertificate) -> dict:
-    return {"beta": chain_to_obj(certificate.beta)}
 
 
 def parse_beta_certificate(obj: Any, path: str = "$") -> BetaCertificate:
@@ -241,8 +233,8 @@ def certificate_to_obj(certificate: FCertificate | BetaCertificate | None):
     if certificate is None:
         return None
     if isinstance(certificate, FCertificate):
-        return f_certificate_to_obj(certificate)
-    return beta_certificate_to_obj(certificate)
+        return {"fs": [partition_to_obj(f) for f in certificate.fs]}
+    return {"beta": chain_to_obj(certificate.beta)}
 
 
 def parse_certificate(obj: Any, path: str = "$") -> FCertificate | BetaCertificate | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import DominanceViolation, NotAPartition
+from .errors import DominanceViolation, NotAPartition, _int_argument
 
 PartitionLike = Union["Partition", Sequence[int]]
 
@@ -140,8 +140,7 @@ def diff_sorted(a: PartitionLike, b: PartitionLike) -> Partition:
 
 def scaled(a: PartitionLike, factor: int) -> Partition:
     """Each part multiplied by a nonnegative integer ``factor``."""
-    if isinstance(factor, bool) or not isinstance(factor, int) or factor < 0:
-        raise ValueError(f"factor must be a nonnegative integer, got {factor!r}")
+    _int_argument("factor", factor)
     a = as_partition(a)
     return Partition(part * factor for part in a.parts)
 

@@ -47,7 +47,7 @@ from math import prod
 from operator import le
 
 from .chains import PolyChain
-from .errors import SearchTooDeep
+from .errors import SearchTooDeep, _int_argument
 from .instances import (
     BetaCertificate,
     FCertificate,
@@ -102,15 +102,13 @@ def _run(search, budget: int, workers: int) -> SolveReport:
     test, which costs 0 nodes.  The module docstring gives the root-window
     rule that keeps node counts and traces fixed.
     """
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    _int_argument("budget", budget)
+    _int_argument("workers", workers, minimum=1)
     try:
         outcome, certificate, nodes = search.run(budget)
     except RecursionError:
         raise SearchTooDeep(
-            f"the search has {search.num_positions} positions, more than the "
+            f"the search has {len(search.steps)} positions, more than the "
             "interpreter's recursion limit allows"
         ) from None
     return SolveReport(outcome, certificate, nodes, budget, search.space_size)
@@ -191,13 +189,12 @@ class _SplitSearch:
                 short = _Shortfall()
                 short.tail = d[j + 1:]
                 self.steps.append((i, j, d[j], t[j], rest_after[len(self.steps)], short))
-        self.num_positions = len(self.steps)
 
     def run(self, cap: int):
         w = self.w
         trace = self.trace
         steps = self.steps
-        num_positions = self.num_positions
+        num_positions = len(steps)
         total_a, total_b = self.total_a, self.total_b
         limit_a, limit_b = total_a // w, total_b // w
         need_a, need_b = -(-total_a // w), -(-total_b // w)
@@ -320,11 +317,10 @@ class _ChainSearch:
             (*window, target - low, high - target)
             for window, low, high in zip(windows, low_after, high_after)
         ]
-        self.num_positions = len(self.steps)
 
     def run(self, cap: int):
         steps = self.steps
-        num_positions = self.num_positions
+        num_positions = len(steps)
         assigned = [[0] * self.chain_length for _ in self.factors]
         nodes = 0
 
@@ -406,8 +402,7 @@ def solve_scaled_k1(
     statement, which is not a theorem, so NoSolution is an ordinary outcome
     here rather than a tripwire.
     """
-    if isinstance(w, bool) or not isinstance(w, int) or w < 1:
-        raise ValueError(f"weight must be a positive integer, got {w!r}")
+    _int_argument("weight", w, minimum=1)
     # The instance checks t <= d componentwise (DominanceViolation otherwise).
     return _solve_splitting(LemmaInstance(((d, t),), A, B), w, budget, workers)
 

@@ -4,14 +4,15 @@ Each mutant is one exact text edit to one file under ``src/``: a search cut
 or clamp dropped or tightened, one bound of the direct search's static
 window dropped, a verifier condition forced true, a test of ``majorizes``
 dropped, a condition of the CLI's contradiction tripwire dropped, an
-exception class no longer caught.  For each one the script copies
-``src/``, ``tests/``, ``demos/``, ``bench/`` (the tests read its deep
-corpus) and ``pyproject.toml`` into a temporary directory, applies the edit
-there (never to the working tree) and runs every ``tests/`` module except
-``test_acceptance.py`` and ``test_mutant_list.py`` with ``pytest -x``, the
-modules most likely to fail first.  (``test_mutant_list.py`` checks this
-list against the source, so it would fail on every mutated copy.)  It
-prints each mutant with the first failing test and the seconds that took.
+exception class no longer caught, the integer-argument rule made to accept
+bools.  For each one the script copies ``src/``, ``tests/``, ``demos/``,
+``bench/`` (the tests read its deep corpus) and ``pyproject.toml`` into a
+temporary directory, applies the edit there (never to the working tree)
+and runs every ``tests/`` module except ``test_acceptance.py`` and
+``test_mutant_list.py`` with ``pytest -x``, the modules most likely to fail
+first.  (``test_mutant_list.py`` checks this list against the source, so it
+would fail on every mutated copy.)  It prints each mutant with the first
+failing test and the seconds that took.
 
 Run it by hand from the repository root::
 
@@ -39,6 +40,7 @@ COPIED = ("src", "tests", "demos", "bench", "pyproject.toml")
 SKIPPED_MODULES = {"test_acceptance.py", "test_mutant_list.py"}
 # Modules that kill most mutants, run first so a kill comes early; the rest follow by name.
 FIRST_MODULES = (
+    "test_argument_rules.py",
     "test_solve.py",
     "test_split_kernel.py",
     "test_chain_kernel.py",
@@ -180,6 +182,12 @@ MUTANTS = (
         "src/majorchain/cli.py",
         "    except (MajorchainError, ValueError) as exc:\n",
         "    except MajorchainError as exc:\n",
+    ),
+    (
+        "int-argument-accepts-bools",
+        "src/majorchain/errors.py",
+        "isinstance(value, bool) or ",
+        "",
     ),
 )
 
