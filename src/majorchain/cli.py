@@ -19,7 +19,8 @@ Exit codes, mutually exclusive:
 * 3: node budget exceeded;
 * 4: contradiction tripwire: a premise-satisfying instance with no
   solution, which the existence theorem rules out.  A bug-report artifact
-  is written next to the working directory.
+  is written to ``--report-dir`` (the working directory by default); when
+  it cannot be written, the stderr line says why and the code is still 4.
 
 The argument parser is built once per process, on the first dispatch, and
 reused by every later ``cli_dispatch`` call; see ``_build_parser``.
@@ -72,6 +73,10 @@ def _read_json(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}", path="") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})", path=""
+        ) from exc
     return jsonio.load_json(text)
 
 
@@ -139,8 +144,13 @@ def _cmd_solve(args) -> int:
     if args.weight is not None or not inst.premise_holds:
         return EXIT_FAILED
     splitting = inst if args.mode == "lemma" else theorem_to_lemma(inst)
-    artifact = jsonio.write_contradiction_report(splitting, report, args.report_dir)
-    sys.stderr.write(f"contradiction: {missing}; report written to {artifact}\n")
+    try:
+        artifact = jsonio.write_contradiction_report(splitting, report, args.report_dir)
+    except OSError as exc:
+        where = f"report could not be written to {args.report_dir}: {exc.strerror or exc}"
+    else:
+        where = f"report written to {artifact}"
+    sys.stderr.write(f"contradiction: {missing}; {where}\n")
     return EXIT_CONTRADICTION
 
 
@@ -185,7 +195,6 @@ def _cmd_gen(args) -> int:
         max_part=args.max_part,
         max_transfer_steps=args.transfers,
         mode=args.mode,
-        use_rejection=args.rejection,
     )
     _emit(jsonio.instance_to_obj(InstanceGenerator(config).instance()))
     return EXIT_OK
@@ -276,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--s", type=int, default=3)
     p_gen.add_argument("--max-part", type=int, default=3, dest="max_part")
     p_gen.add_argument("--transfers", type=int, default=4)
-    p_gen.add_argument("--rejection", action="store_true")
     p_gen.set_defaults(handler=_cmd_gen)
 
     p_repro = sub.add_parser(

@@ -1,16 +1,14 @@
 """Deterministic random instances whose premises hold by construction.
 
-The default sampler never rejects: it draws A and B, pools them, loosens the
-pooled partition with unit transfers (each moves one box from a larger part
-to a strictly smaller one, which preserves the total and can only lower
-prefix sums, so the result stays majorized by the original), splits the
-loosened parts into per-pair gap groups, and adds each group onto a sampled
-base t^i to make d^i.  The pooled gaps of the resulting instance are then
-exactly the loosened partition, so the premise holds with no checking
-needed, and with zero transfer steps it holds with equality.
-
-A plain rejection sampler is kept behind a flag for comparing the shapes of
-the two distributions.
+The sampler never rejects: it draws A and B, pools them, loosens the pooled
+partition with unit transfers (each moves one box from a larger part to a
+strictly smaller one, which preserves the total and can only lower prefix
+sums, so the result stays majorized by the original), splits the loosened
+parts into per-pair gap groups, and adds each group onto a sampled base t^i
+to make d^i.  The pooled gaps of the resulting instance are then exactly the
+loosened partition, so the premise holds with no checking needed, and with
+zero transfer steps it holds with equality.  Theorem-mode instances are the
+lemma instances translated.
 
 Identical configurations produce identical instance streams.
 """
@@ -24,16 +22,14 @@ from .errors import _int_argument
 from .instances import LemmaInstance, TheoremInstance, lemma_to_theorem
 from .partitions import Partition, plus
 
-_REJECTION_ATTEMPTS = 100_000
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs of the instance sampler.
 
     ``k`` pairs of padded length up to ``s`` with parts up to ``max_part``;
     up to ``max_transfer_steps`` unit transfers loosen the premise from
-    equality.  ``mode`` picks the emitted form: "lemma" or "theorem".
+    equality.  ``mode`` picks the form ``InstanceGenerator.instance`` emits:
+    "lemma" or "theorem".
     """
 
     seed: int
@@ -42,7 +38,6 @@ class GeneratorConfig:
     max_part: int = 3
     max_transfer_steps: int = 4
     mode: str = "lemma"
-    use_rejection: bool = False
 
     def __post_init__(self):
         _int_argument("k", self.k, minimum=1)
@@ -64,6 +59,10 @@ def _transfer_step(rng: random.Random, parts: list[int], max_slots: int) -> list
     The target may be a fresh zero slot as long as the number of nonzero
     parts stays within ``max_slots`` (so the parts remain groupable).
     Returns the re-sorted parts; unchanged when no move is possible.
+
+    Every part stays at 1 or more: the parts start as those of a partition,
+    and a source gives up a unit only when it exceeds its target (at least
+    1) or, for a fresh slot, when it exceeds 1.
     """
     slots = list(parts)
     can_extend = len(slots) < max_slots
@@ -84,8 +83,6 @@ def _transfer_step(rng: random.Random, parts: list[int], max_slots: int) -> list
     else:
         slots[v] += 1
     slots.sort(reverse=True)
-    while slots and slots[-1] == 0:
-        slots.pop()
     return slots
 
 
@@ -97,19 +94,6 @@ class InstanceGenerator:
         self._rng = random.Random(config.seed)
 
     def lemma_instance(self) -> LemmaInstance:
-        if self.config.use_rejection:
-            return self._lemma_by_rejection()
-        return self._lemma_by_construction()
-
-    def theorem_instance(self) -> TheoremInstance:
-        return lemma_to_theorem(self.lemma_instance())
-
-    def instance(self) -> LemmaInstance | TheoremInstance:
-        if self.config.mode == "theorem":
-            return self.theorem_instance()
-        return self.lemma_instance()
-
-    def _lemma_by_construction(self) -> LemmaInstance:
         rng = self._rng
         cfg = self.config
         A = _sample_partition(rng, cfg.s, cfg.max_part)
@@ -131,23 +115,13 @@ class InstanceGenerator:
             pairs.append((d, t))
         return LemmaInstance(tuple(pairs), A, B)
 
-    def _lemma_by_rejection(self) -> LemmaInstance:
-        rng = self._rng
-        cfg = self.config
-        for _ in range(_REJECTION_ATTEMPTS):
-            pairs = []
-            for _ in range(cfg.k):
-                t = _sample_partition(rng, cfg.s, cfg.max_part)
-                gap = _sample_partition(rng, cfg.s, cfg.max_part)
-                pairs.append((plus(t, gap), t))
-            candidate = LemmaInstance(
-                tuple(pairs),
-                _sample_partition(rng, cfg.s, cfg.max_part),
-                _sample_partition(rng, cfg.s, cfg.max_part),
-            )
-            if candidate.premise_holds:
-                return candidate
-        raise RuntimeError("rejection sampling found no premise-satisfying instance")
+    def theorem_instance(self) -> TheoremInstance:
+        return lemma_to_theorem(self.lemma_instance())
+
+    def instance(self) -> LemmaInstance | TheoremInstance:
+        if self.config.mode == "theorem":
+            return self.theorem_instance()
+        return self.lemma_instance()
 
 
 def generate_lemma_instance(config: GeneratorConfig) -> LemmaInstance:

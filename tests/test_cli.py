@@ -260,6 +260,25 @@ class TestContradictionTripwire:
         argv = ["solve", "--mode", "theorem", "--instance", instance]
         self.tripwire(capsys, tmp_path, argv, theorem_to_lemma(inst))
 
+    def test_unwritable_report_dir_still_exits_4_with_the_report(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        obj = {"pairs": [{"d": [2, 1], "t": [1]}], "A": [1], "B": [1]}
+        self.report_none(monkeypatch, "solve_lemma")
+        instance = write(tmp_path, "lemma.json", obj)
+        missing = tmp_path / "no-such-dir"
+        argv = ["solve", "--mode", "lemma", "--instance", instance, "--budget", "50",
+                "--report-dir", str(missing)]
+        code = cli_dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["outcome"] == "none"
+        assert captured.err == (
+            "contradiction: the premise holds but no splitting exists; report could not be "
+            f"written to {missing}: No such file or directory\n"
+        )
+        assert not missing.exists()
+
     def test_premise_false_lemma_none_exits_1_without_an_artifact(self, capsys, tmp_path):
         instance = write(
             tmp_path,
@@ -418,6 +437,25 @@ class TestErrorPaths:
             ["solve", "--mode", "lemma", "--instance", str(tmp_path / "absent.json")],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("field", ["instance", "certificate"])
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path, field):
+        files = {
+            "instance": write(tmp_path, "lemma.json", {"pairs": [], "A": [], "B": []}),
+            "certificate": write(tmp_path, "cert.json", {"fs": []}),
+        }
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe{")
+        files[field] = str(path)
+        code = cli_dispatch(
+            ["check", "--mode", "lemma", "--instance", files["instance"],
+             "--certificate", files["certificate"]]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"input error: cannot read {path}: not UTF-8 text (byte 0: invalid start byte)\n"
+        )
 
     def test_schema_violation_exits_2(self, capsys, tmp_path):
         instance = write(tmp_path, "bad.json", {"pairs": [{"d": [1, 2], "t": []}], "A": [], "B": []})

@@ -2,10 +2,11 @@
 
 Each mutant is one exact text edit to one file under ``src/``: a search cut
 or clamp dropped or tightened, one bound of the direct search's static
-window dropped, a verifier condition forced true, a test of ``majorizes``
-dropped, a condition of the CLI's contradiction tripwire dropped, an
-exception class no longer caught, the integer-argument rule made to accept
-bools.  For each one the script copies ``src/``, ``tests/``, ``demos/``,
+window dropped, each verifier condition forced true, a test of
+``majorizes`` dropped, a condition of the CLI's contradiction tripwire
+dropped, an exception class no longer caught, the integer-argument rule
+made to accept bools, the sampler's unit transfer allowed between equal
+parts.  For each one the script copies ``src/``, ``tests/``, ``demos/``,
 ``bench/`` (the tests read its deep corpus) and ``pyproject.toml`` into a
 temporary directory, applies the edit there (never to the working tree)
 and runs every ``tests/`` module except ``test_acceptance.py`` and
@@ -154,10 +155,52 @@ MUTANTS = (
         '        ConditionCheck("lower-gaps-vs-A", True, lower, A),\n',
     ),
     (
+        "verifier-upper-gaps-forced-true",
+        INSTANCES,
+        '        _majorized("upper-gaps-vs-B", upper, B),\n',
+        '        ConditionCheck("upper-gaps-vs-B", True, upper, B),\n',
+    ),
+    (
+        "verifier-bounds-forced-true",
+        INSTANCES,
+        "            if not d[j] >= f[j] >= t[j]\n",
+        "            if False\n",
+    ),
+    (
+        "verifier-lemma-premise-forced-true",
+        INSTANCES,
+        '    return [_majorized("pooled-gaps-vs-A+B", inst.gap_union(), plus(inst.A, inst.B))]\n',
+        '    return [ConditionCheck("pooled-gaps-vs-A+B", True, inst.gap_union(), plus(inst.A, inst.B))]\n',
+    ),
+    (
+        "verifier-premise-sandwich-forced-true",
+        INSTANCES,
+        "    sandwich = interlace_check(alpha, gamma, y)\n",
+        "    sandwich = True\n",
+    ),
+    (
+        "verifier-sigma-majorization-forced-true",
+        INSTANCES,
+        "    return _majorized(name, indices, _sigma_of_sandwich(delta, epsilon, y))\n",
+        "    return ConditionCheck(name, True, indices, _sigma_of_sandwich(delta, epsilon, y))\n",
+    ),
+    (
+        "verifier-chain-valid-forced-true",
+        INSTANCES,
+        "    valid = chain_validate(beta)\n",
+        "    valid = True\n",
+    ),
+    (
         "verifier-inner-interlace-forced-true",
         INSTANCES,
         "    inner = valid and interlace_check(alpha, beta, inst.m)\n",
         "    inner = valid\n",
+    ),
+    (
+        "verifier-outer-interlace-forced-true",
+        INSTANCES,
+        "    outer = valid and interlace_check(beta, gamma, inst.p)\n",
+        "    outer = valid\n",
     ),
     (
         "majorizes-totals-test-dropped",
@@ -188,6 +231,12 @@ MUTANTS = (
         "src/majorchain/errors.py",
         "isinstance(value, bool) or ",
         "",
+    ),
+    (
+        "generator-transfer-between-equal-parts",
+        "src/majorchain/generator.py",
+        "            if source > target:\n",
+        "            if source >= target:\n",
     ),
 )
 
