@@ -125,10 +125,10 @@ class InstanceGenerator:
 
 
 def generate_lemma_instance(config: GeneratorConfig) -> LemmaInstance:
-    """First lemma instance of the stream for this configuration."""
+    """First lemma instance of the stream for ``config``, whatever ``config.mode`` says."""
     return InstanceGenerator(config).lemma_instance()
 
 
 def generate_theorem_instance(config: GeneratorConfig) -> TheoremInstance:
-    """First theorem instance of the stream for this configuration."""
+    """First theorem instance of the stream for ``config``, whatever ``config.mode`` says."""
     return InstanceGenerator(config).theorem_instance()

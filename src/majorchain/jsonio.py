@@ -8,7 +8,9 @@ Formats (all UTF-8 JSON, no comments):
 * completion instance: {"alpha", "gamma", "c", "r", "m", "p", "n"};
 * certificates: {"fs": [partition]} or {"beta": chain};
 * solve report: {"outcome", "certificate", "nodes", "budget", "space_size"};
-* transcript: [{"name", "holds", "left", "right", "note"}].
+* transcript: [{"name", "holds", "left", "right", "note"}];
+* identity pair (``majorchain identity``): {"delta": chain, "epsilon": chain};
+* contradiction artifact: {"instance", "report", "trace_sha256"}.
 
 Parsers reject out-of-schema values with an :class:`InputError` whose
 message names the JSON path of the offending element.  Parts are capped at
@@ -259,17 +261,18 @@ def solve_report_to_obj(report: SolveReport) -> dict:
 
 
 def parse_solve_report(obj: Any, path: str = "$") -> SolveReport:
-    data = _require_object(obj, path, ("outcome", "certificate", "nodes", "budget"))
+    data = _require_object(obj, path, ("outcome", "certificate", "nodes", "budget", "space_size"))
     outcome = data["outcome"]
     if outcome not in _OUTCOMES:
         raise InputError(f"outcome must be one of {_OUTCOMES}", f"{path}.outcome")
-    return SolveReport(
-        outcome,
-        parse_certificate(data["certificate"], f"{path}.certificate"),
-        _require_int(data["nodes"], f"{path}.nodes"),
-        _require_int(data["budget"], f"{path}.budget"),
-        _require_int(data.get("space_size", 0), f"{path}.space_size"),
-    )
+    certificate = parse_certificate(data["certificate"], f"{path}.certificate")
+    if (certificate is None) == (outcome == FOUND):
+        rule = "must not be null" if outcome == FOUND else "must be null"
+        raise InputError(f"{rule} when the outcome is {outcome!r}", f"{path}.certificate")
+    budget = _require_int(data["budget"], f"{path}.budget")
+    nodes = _require_int(data["nodes"], f"{path}.nodes", maximum=budget)
+    space_size = _require_int(data["space_size"], f"{path}.space_size")
+    return SolveReport(outcome, certificate, nodes, budget, space_size)
 
 
 def _compared_to_obj(value: Any):

@@ -18,9 +18,9 @@ costs one node and one trace entry.  Node counts are part of a solve's
 output and the trace hash pins the explored tree, so this root-window rule
 keeps both equal to those of a search that runs one sub-search per
 first-position value.  Each splitting-search node reads precomputed sums,
-a shortfall row and two prefix scans run inside C builtins (see
-``_SplitSearch``); they decide exactly what the plain per-value sums would,
-so node counts and traces do not depend on how the checks are computed.
+a shortfall row and two prefix scans against tables of floor(prefix/w),
+run inside C builtins (see ``_SplitSearch``); they decide what the scaled
+sums would, so node counts and traces do not depend on how checks are made.
 
 The direct chain search also clamps each position's window by mass: every
 solution has sum deg*|beta_f| == |c+| + sum deg*|alpha_f|, because under the
@@ -160,13 +160,14 @@ class _SplitSearch:
       shortfall row ``short`` holds sum(max(0, d[u] - v) for u > j): the
       sum of the parts after the v-th of the conjugate of d's tail
       (d[j+1], d[j+2], ...), so 0 once v >= d[j+1];
-    * lower and upper prefix: the committed scaled gaps, sorted, must have
-      every top-r sum at most A's (B's) r-th prefix sum.  Ranks past len(A)
-      need no check, since their sums are at most w*ca <= |A| (and
-      w*cb <= |B|).  Both run as ``all(map(le, accumulate(...), pre))``.
+    * lower and upper prefix: the committed gaps, sorted, must have every
+      top-r sum S at most ``pre_a[r]`` (``pre_b[r]``), A's (B's) r-th prefix
+      sum P floor-divided by w, since w*S <= P exactly when S <= P//w.  Ranks
+      past len(A) need no check, since their sums are at most ca <= |A|//w
+      (and cb <= |B|//w).  Both run as ``all(map(le, accumulate(...), pre))``.
 
-    Given a ``trace`` (anything with ``update(bytes)``, such as a hashlib
-    object), ``run`` feeds it ``b"<position>:<value>;"`` for every node.
+    :func:`search_trace_hash` passes a ``trace`` (a hashlib object), and
+    ``run`` feeds it ``b"<position>:<value>;"`` for every node.
     """
 
     def __init__(self, inst: LemmaInstance, w: int, trace=None):
@@ -177,8 +178,8 @@ class _SplitSearch:
         self.floors = [t for _, t in pairs]
         self.total_a = weight(inst.A)
         self.total_b = weight(inst.B)
-        self.pre_a = list(accumulate(inst.A.parts))
-        self.pre_b = list(accumulate(inst.B.parts))
+        self.pre_a = [prefix // w for prefix in accumulate(inst.A.parts)]
+        self.pre_b = [prefix // w for prefix in accumulate(inst.B.parts)]
         gaps = [dv - tv for d, t in pairs for dv, tv in zip(d, t)]
         self.space_size = prod(gap + 1 for gap in gaps)
         rest_after = _sums_after(gaps)
@@ -200,7 +201,7 @@ class _SplitSearch:
         need_a, need_b = -(-total_a // w), -(-total_b // w)
         pre_a, pre_b = self.pre_a, self.pre_b
         assigned = [list(t) for t in self.floors]
-        lower_gaps: list[int] = []  # committed scaled gaps, ascending
+        lower_gaps: list[int] = []  # committed gaps, ascending
         upper_gaps: list[int] = []
         nodes = 0
 
@@ -233,30 +234,28 @@ class _SplitSearch:
                     break  # larger values shrink the upper side further
                 if ca2 + rest - short[value] < need_a:
                     continue  # larger values can still reach the lower total
-                scaled_lower = w * gap_lower
-                scaled_upper = w * gap_upper
                 if gap_lower:
-                    insort(lower_gaps, scaled_lower)
+                    insort(lower_gaps, gap_lower)
                     if not all(map(le, accumulate(reversed(lower_gaps)), pre_a)):
-                        lower_gaps.remove(scaled_lower)
+                        lower_gaps.remove(gap_lower)
                         # As above, the root tries its whole window.
                         if pos_idx == 0:
                             continue
                         break  # larger values make this prefix worse
                 if gap_upper:
-                    insort(upper_gaps, scaled_upper)
+                    insort(upper_gaps, gap_upper)
                     if not all(map(le, accumulate(reversed(upper_gaps)), pre_b)):
-                        upper_gaps.remove(scaled_upper)
+                        upper_gaps.remove(gap_upper)
                         if gap_lower:
-                            lower_gaps.remove(scaled_lower)
+                            lower_gaps.remove(gap_lower)
                         continue  # larger values shrink this gap
                 values[j] = value
                 if descend(pos_idx + 1, ca2, cb2):
                     return True
                 if gap_lower:
-                    lower_gaps.remove(scaled_lower)
+                    lower_gaps.remove(gap_lower)
                 if gap_upper:
-                    upper_gaps.remove(scaled_upper)
+                    upper_gaps.remove(gap_upper)
             return False
 
         try:
@@ -303,7 +302,7 @@ class _ChainSearch:
                 lo = max(gamma_lo, alpha_lo)
                 hi = gamma_hi if alpha_hi is None or gamma_hi <= alpha_hi else alpha_hi
                 windows.append((fi, q, factor.degree, lo, hi))
-                size *= max(gamma_hi - gamma_lo + 1, 0)
+                size *= gamma_hi - gamma_lo + 1
         self.space_size = size
         target = weight(inst.c_plus) + sum(
             factor.degree * sum(inst.alpha.exponent_vector(factor.label))
@@ -357,11 +356,9 @@ class _ChainSearch:
         return (NO_SOLUTION if certificate is None else FOUND), certificate, nodes
 
 
-def _solve_splitting(
-    inst: LemmaInstance, w: int, budget: int, workers: int, trace=None
-) -> SolveReport:
+def _solve_splitting(inst: LemmaInstance, w: int, budget: int, workers: int) -> SolveReport:
     """Search for a splitting with every gap scaled by ``w`` and verify it."""
-    report = _run(_SplitSearch(inst, w, trace), budget, workers)
+    report = _run(_SplitSearch(inst, w), budget, workers)
     if report.found and not _verdict(
         _splitting_checks(inst.pairs, report.certificate.fs, inst.A, inst.B, w)
     ):
@@ -373,7 +370,6 @@ def solve_lemma(
     inst: LemmaInstance,
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
-    trace=None,
 ) -> SolveReport:
     """Search for a splitting certificate of a partition-splitting instance.
 
@@ -381,7 +377,7 @@ def solve_lemma(
     on a premise-satisfying instance is significant (the existence statement
     says it cannot happen), which callers should treat as a tripwire.
     """
-    return _solve_splitting(inst, 1, budget, workers, trace)
+    return _solve_splitting(inst, 1, budget, workers)
 
 
 def solve_scaled_k1(
@@ -451,9 +447,9 @@ def solve_theorem_direct(
 def search_trace_hash(inst: LemmaInstance, budget: int = DEFAULT_BUDGET) -> str:
     """SHA-256 over the node stream of the sequential splitting search.
 
-    Reruns the (deterministic) search with tracing enabled; used when
-    serializing a tripwire report so the exact explored tree is pinned.
+    Reruns the (deterministic) search for its trace alone, unverified; used
+    when serializing a tripwire report so the exact explored tree is pinned.
     """
     digest = hashlib.sha256()
-    solve_lemma(inst, budget=budget, workers=1, trace=digest)
+    _run(_SplitSearch(inst, 1, digest), budget, 1)
     return digest.hexdigest()

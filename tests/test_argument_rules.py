@@ -19,6 +19,7 @@ from majorchain import (
     TheoremInstance,
     interlace_check,
     scaled,
+    search_trace_hash,
     solve_lemma,
     solve_scaled_k1,
 )
@@ -38,6 +39,7 @@ def _empty_theorem(m, p):
 SITES = [
     ("solve-budget", lambda v: solve_lemma(LEMMA, budget=v), 0, ValueError),
     ("solve-workers", lambda v: solve_lemma(LEMMA, workers=v), 1, ValueError),
+    ("trace-budget", lambda v: search_trace_hash(LEMMA, budget=v), 0, ValueError),
     ("scaled-weight", lambda v: solve_scaled_k1(ONE, (), ONE, (), v), 1, ValueError),
     ("theorem-m", lambda v: _empty_theorem(v, 0), 0, ValueError),
     ("theorem-p", lambda v: _empty_theorem(0, v), 0, ValueError),

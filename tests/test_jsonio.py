@@ -130,9 +130,35 @@ class TestCertificateAndReportFormats:
         assert jsonio.parse_solve_report(jsonio.solve_report_to_obj(report)) == report
 
     def test_report_outcome_validated(self):
-        obj = {"outcome": "maybe", "certificate": None, "nodes": 0, "budget": 0}
+        obj = {"outcome": "maybe", "certificate": None, "nodes": 0, "budget": 0, "space_size": 1}
         with pytest.raises(InputError):
             jsonio.parse_solve_report(obj)
+
+    REPORT = {"outcome": "none", "certificate": None, "nodes": 2, "budget": 5, "space_size": 4}
+    FS = {"fs": [[1]]}
+
+    @staticmethod
+    def rejection(obj):
+        with pytest.raises(InputError) as err:
+            jsonio.parse_solve_report(obj)
+        return err.value
+
+    def test_found_report_without_certificate_rejected(self):
+        assert self.rejection({**self.REPORT, "outcome": "found"}).path == "$.certificate"
+
+    @pytest.mark.parametrize("outcome", ["none", "aborted"])
+    def test_certificate_on_a_report_not_found_rejected(self, outcome):
+        obj = {**self.REPORT, "outcome": outcome, "certificate": self.FS}
+        assert self.rejection(obj).path == "$.certificate"
+
+    def test_nodes_above_budget_rejected(self):
+        assert self.rejection({**self.REPORT, "nodes": 6}).path == "$.nodes"
+
+    def test_report_without_space_size_rejected(self):
+        obj = dict(self.REPORT)
+        del obj["space_size"]
+        error = self.rejection(obj)
+        assert error.path == "$" and "'space_size'" in str(error)
 
 
 class TestMalformedJson:

@@ -1,5 +1,6 @@
 """One sequential search per solve, and one premise verdict per theorem instance."""
 
+import hashlib
 import threading
 
 import pytest
@@ -13,6 +14,7 @@ from majorchain import (
     PolyChain,
     TheoremInstance,
     jsonio,
+    search_trace_hash,
     solve_lemma,
     solve_theorem,
     solve_theorem_direct,
@@ -111,16 +113,6 @@ class TestWorkersArgument:
         assert sequential.found and sequential.nodes == 6
 
 
-class Recorder:
-    """A trace sink: keeps every chunk the search passes to ``update``."""
-
-    def __init__(self):
-        self.data = b""
-
-    def update(self, chunk):
-        self.data += chunk
-
-
 def upper_mass_cut_instance():
     # B needs 2 but the only gap is 1, so the upper-mass bound cuts both root
     # values.
@@ -147,10 +139,9 @@ class TestOneDescent:
         ids=["upper-mass", "lower-prefix"],
     )
     def test_a_cut_root_value_costs_a_node_and_a_trace_entry(self, inst, trace):
-        recorder = Recorder()
-        report = solve_lemma(inst, trace=recorder)
+        report = solve_lemma(inst)
         assert report.outcome == "none" and report.nodes == 2
-        assert recorder.data == trace
+        assert search_trace_hash(inst) == hashlib.sha256(trace).hexdigest()
 
     @pytest.mark.parametrize(
         "budget, outcome, nodes",

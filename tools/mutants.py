@@ -2,16 +2,17 @@
 
 Each mutant is one exact text edit to one file under ``src/``: a search cut
 or clamp dropped or tightened, one bound of the direct search's static
-window dropped, each verifier condition forced true, a test of
-``majorizes`` dropped, a condition of the CLI's contradiction tripwire
-dropped, an exception class no longer caught, the integer-argument rule
-made to accept bools, the sampler's unit transfer allowed between equal
-parts.  For each one the script copies ``src/``, ``tests/``, ``demos/``,
-``bench/`` (the tests read its deep corpus) and ``pyproject.toml`` into a
-temporary directory, applies the edit there (never to the working tree)
-and runs every ``tests/`` module except ``test_acceptance.py`` and
-``test_mutant_list.py`` with ``pytest -x``, the modules most likely to fail
-first.  (``test_mutant_list.py`` checks this list against the source, so it
+window dropped, the splitting search's prefix table of A left unscaled,
+each verifier condition forced true, a test of ``majorizes`` dropped, a
+condition of the CLI's contradiction tripwire dropped, an exception class
+no longer caught, the integer-argument rule made to accept bools, the
+sampler's unit transfer allowed between equal parts.  For each one the
+script copies ``src/``, ``tests/``, ``demos/``, ``bench/`` (the tests read
+its deep corpus) and ``pyproject.toml`` into a temporary directory, applies
+the edit there (never to the working tree) and runs every ``tests/``
+module except ``test_acceptance.py`` and ``test_mutant_list.py`` with
+``pytest -x``, the modules most likely to fail first.
+(``test_mutant_list.py`` checks this list against the source, so it
 would fail on every mutated copy.)  It prints each mutant with the first
 failing test and the seconds that took.
 
@@ -84,6 +85,12 @@ MUTANTS = (
         SOLVE,
         "if not all(map(le, accumulate(reversed(lower_gaps)), pre_a)):",
         "if False:",
+    ),
+    (
+        "split-prefix-table-unscaled",
+        SOLVE,
+        "        self.pre_a = [prefix // w for prefix in accumulate(inst.A.parts)]\n",
+        "        self.pre_a = list(accumulate(inst.A.parts))\n",
     ),
     (
         "split-upper-prefix-cut-dropped",
