@@ -28,8 +28,8 @@ factor's exponents is one lookup, not a scan over the factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from operator import ge, gt, le, lt
 
 from .errors import (
     IndexOutOfRange,
@@ -38,21 +38,39 @@ from .errors import (
     LengthOverflow,
     NotAPartition,
     _int_argument,
+    _Value,
 )
 from .partitions import Partition, as_partition, diff_sorted, dual, plus, scaled
 
 
-@dataclass(frozen=True, order=True)
-class Factor:
-    """An irreducible factor: an opaque label plus its polynomial degree."""
+class Factor(_Value, fields=("label", "degree")):
+    """An irreducible factor: an opaque label plus its polynomial degree.
 
-    label: str
-    degree: int = 1
+    Factors order by (label, degree).
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
+    def __init__(self, label: str, degree: int = 1):
+        if not isinstance(label, str) or not label:
             raise ValueError("factor label must be a nonempty string")
-        _int_argument("factor degree", self.degree, minimum=1)
+        _int_argument("factor degree", degree, minimum=1)
+        self.__dict__.update(label=label, degree=degree)
+
+    def _compare(self, other, op):
+        if other.__class__ is self.__class__:
+            return op(self._key(self), other._key(other))
+        return NotImplemented
+
+    def __lt__(self, other):
+        return self._compare(other, lt)
+
+    def __le__(self, other):
+        return self._compare(other, le)
+
+    def __gt__(self, other):
+        return self._compare(other, gt)
+
+    def __ge__(self, other):
+        return self._compare(other, ge)
 
 
 class PolyChain:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from . import jsonio
 from .errors import ConclusionViolation, InputError, MajorchainError, PremiseViolation
@@ -70,7 +69,8 @@ _SOLVE_EXIT = {FOUND: EXIT_OK, ABORTED: EXIT_BUDGET}
 
 def _read_json(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}", path="") from exc
     except UnicodeDecodeError as exc:

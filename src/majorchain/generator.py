@@ -16,14 +16,15 @@ Identical configurations produce identical instance streams.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .errors import _int_argument
+from .errors import _int_argument, _Value
 from .instances import LemmaInstance, TheoremInstance, lemma_to_theorem
 from .partitions import Partition, plus
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+
+class GeneratorConfig(
+    _Value, fields=("seed", "k", "s", "max_part", "max_transfer_steps", "mode")
+):
     """Knobs of the instance sampler.
 
     ``k`` pairs of padded length up to ``s`` with parts up to ``max_part``;
@@ -32,20 +33,24 @@ class GeneratorConfig:
     "lemma" or "theorem".
     """
 
-    seed: int
-    k: int = 2
-    s: int = 3
-    max_part: int = 3
-    max_transfer_steps: int = 4
-    mode: str = "lemma"
-
-    def __post_init__(self):
-        _int_argument("k", self.k, minimum=1)
-        _int_argument("s", self.s, minimum=1)
-        _int_argument("max_part", self.max_part)
-        _int_argument("max_transfer_steps", self.max_transfer_steps)
-        if self.mode not in ("lemma", "theorem"):
-            raise ValueError(f"mode must be 'lemma' or 'theorem', got {self.mode!r}")
+    def __init__(
+        self,
+        seed: int,
+        k: int = 2,
+        s: int = 3,
+        max_part: int = 3,
+        max_transfer_steps: int = 4,
+        mode: str = "lemma",
+    ):
+        _int_argument("k", k, minimum=1)
+        _int_argument("s", s, minimum=1)
+        _int_argument("max_part", max_part)
+        _int_argument("max_transfer_steps", max_transfer_steps)
+        if mode not in ("lemma", "theorem"):
+            raise ValueError(f"mode must be 'lemma' or 'theorem', got {mode!r}")
+        self.__dict__.update(
+            seed=seed, k=k, s=s, max_part=max_part, max_transfer_steps=max_transfer_steps, mode=mode
+        )
 
 
 def _sample_partition(rng: random.Random, max_len: int, max_part: int) -> Partition:

@@ -28,9 +28,8 @@ condition of the chain-completion form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 from .chains import (
     Factor,
@@ -47,6 +46,7 @@ from .errors import (
     NonLinearFactor,
     PremiseViolation,
     _int_argument,
+    _Value,
 )
 from .partitions import Partition, as_partition, dual, majorizes, plus, union
 
@@ -56,8 +56,7 @@ def _shifted_indices(indices: Partition, count: int) -> Partition:
     return Partition(indices[i] + 1 for i in range(count))
 
 
-@dataclass(frozen=True)
-class TheoremInstance:
+class TheoremInstance(_Value, fields=("alpha", "gamma", "c", "r", "m", "p")):
     """Data of the chain-completion form.
 
     ``m`` and ``p`` are stored explicitly because ``c`` and ``r`` are kept
@@ -65,38 +64,33 @@ class TheoremInstance:
     otherwise lose its length.
     """
 
-    alpha: PolyChain
-    gamma: PolyChain
-    c: Partition
-    r: Partition
-    m: int
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", as_partition(self.c))
-        object.__setattr__(self, "r", as_partition(self.r))
-        _int_argument("m", self.m)
-        _int_argument("p", self.p)
-        if len(self.c) > self.m:
-            raise ValueError(f"{len(self.c)} column indices do not fit m={self.m}")
-        if len(self.r) > self.p:
-            raise ValueError(f"{len(self.r)} row indices do not fit p={self.p}")
-        if self.gamma.length != self.alpha.length + self.m + self.p:
+    def __init__(
+        self, alpha: PolyChain, gamma: PolyChain, c: Partition, r: Partition, m: int, p: int
+    ):
+        c = as_partition(c)
+        r = as_partition(r)
+        _int_argument("m", m)
+        _int_argument("p", p)
+        if len(c) > m:
+            raise ValueError(f"{len(c)} column indices do not fit m={m}")
+        if len(r) > p:
+            raise ValueError(f"{len(r)} row indices do not fit p={p}")
+        if gamma.length != alpha.length + m + p:
             raise LengthMismatch(
-                f"outer chain length {self.gamma.length} != "
-                f"{self.alpha.length} + {self.m} + {self.p}"
+                f"outer chain length {gamma.length} != {alpha.length} + {m} + {p}"
             )
-        if not chain_validate(self.alpha):
+        if not chain_validate(alpha):
             raise ValueError("the inner chain is not a divisibility chain")
-        if not chain_validate(self.gamma):
+        if not chain_validate(gamma):
             raise ValueError("the outer chain is not a divisibility chain")
-        _merged_degrees(self.alpha, self.gamma)
-        outer = set(self.gamma.labels)
-        for label in self.alpha.labels:
+        _merged_degrees(alpha, gamma)
+        outer = set(gamma.labels)
+        for label in alpha.labels:
             if label not in outer:
                 raise ValueError(
                     f"factor {label!r} of the inner chain is missing from the outer chain"
                 )
+        self.__dict__.update(alpha=alpha, gamma=gamma, c=c, r=r, m=m, p=p)
 
     @property
     def n(self) -> int:
@@ -136,17 +130,12 @@ class TheoremInstance:
         return isinstance(other, TheoremInstance) and self.canonical_key() == other.canonical_key()
 
 
-@dataclass(frozen=True)
-class LemmaInstance:
+class LemmaInstance(_Value, fields=("pairs", "A", "B")):
     """Data of the partition-splitting form: k pairs (d^i, t^i) plus A and B."""
 
-    pairs: tuple[tuple[Partition, Partition], ...]
-    A: Partition
-    B: Partition
-
-    def __post_init__(self):
+    def __init__(self, pairs: Iterable[tuple[Partition, Partition]], A: Partition, B: Partition):
         normalized = []
-        for index, (d, t) in enumerate(self.pairs):
+        for index, (d, t) in enumerate(pairs):
             d, t = as_partition(d), as_partition(t)
             for j in range(max(len(d), len(t))):
                 if d[j] < t[j]:
@@ -154,9 +143,7 @@ class LemmaInstance:
                         f"pair {index}, position {j}: d={d[j]} < t={t[j]}"
                     )
             normalized.append((d, t))
-        object.__setattr__(self, "pairs", tuple(normalized))
-        object.__setattr__(self, "A", as_partition(self.A))
-        object.__setattr__(self, "B", as_partition(self.B))
+        self.__dict__.update(pairs=tuple(normalized), A=as_partition(A), B=as_partition(B))
 
     @property
     def k(self) -> int:
@@ -185,40 +172,40 @@ class LemmaInstance:
         return isinstance(other, LemmaInstance) and self.canonical_key() == other.canonical_key()
 
 
-@dataclass(frozen=True)
-class BetaCertificate:
+class BetaCertificate(_Value, fields=("beta",)):
     """A candidate middle chain for the chain-completion form."""
 
-    beta: PolyChain
+    def __init__(self, beta: PolyChain):
+        self.__dict__["beta"] = beta
 
 
-@dataclass(frozen=True)
-class FCertificate:
+class FCertificate(_Value, fields=("fs",)):
     """Candidate intermediate partitions, one per pair.
 
     When produced from or fed to a :class:`TheoremInstance`, entry i
     corresponds to the i-th factor in the instance's canonical factor order.
     """
 
-    fs: tuple[Partition, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "fs", tuple(as_partition(f) for f in self.fs))
+    def __init__(self, fs: Iterable[Partition]):
+        self.__dict__["fs"] = tuple(as_partition(f) for f in fs)
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(_Value, fields=("name", "holds", "left", "right", "note")):
     """One verified condition: a name, a verdict, and the compared objects.
 
     ``holds`` is None when the condition could not be evaluated because a
     prerequisite condition already failed (explained in ``note``).
     """
 
-    name: str
-    holds: bool | None
-    left: object = None
-    right: object = None
-    note: str = ""
+    def __init__(
+        self,
+        name: str,
+        holds: bool | None,
+        left: object = None,
+        right: object = None,
+        note: str = "",
+    ):
+        self.__dict__.update(name=name, holds=holds, left=left, right=right, note=note)
 
 
 def _verdict(checks: Iterable[ConditionCheck]) -> bool:

@@ -22,8 +22,6 @@ wrap.  Malformed text, and text nested too deeply for the parser, is an
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Any
 
 from .chains import Factor, PolyChain
 from .errors import InputError, MajorchainError
@@ -43,7 +41,7 @@ MAX_CHAIN_LENGTH = 2**20
 _OUTCOMES = (FOUND, NO_SOLUTION, ABORTED)
 
 
-def load_json(text: str) -> Any:
+def load_json(text: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -55,11 +53,11 @@ def load_json(text: str) -> Any:
         raise InputError("JSON nested too deeply to parse", path="") from exc
 
 
-def dumps(obj: Any) -> str:
+def dumps(obj: object) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _require_int(value: Any, path: str, minimum: int = 0, maximum: int | None = None) -> int:
+def _require_int(value: object, path: str, minimum: int = 0, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"expected an integer, got {value!r}", path)
     if value < minimum:
@@ -69,13 +67,13 @@ def _require_int(value: Any, path: str, minimum: int = 0, maximum: int | None = 
     return value
 
 
-def _require_list(value: Any, path: str) -> list:
+def _require_list(value: object, path: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"expected an array, got {type(value).__name__}", path)
     return value
 
 
-def _require_object(value: Any, path: str, keys: tuple[str, ...]) -> dict:
+def _require_object(value: object, path: str, keys: tuple[str, ...]) -> dict:
     if not isinstance(value, dict):
         raise InputError(f"expected an object, got {type(value).__name__}", path)
     for key in keys:
@@ -88,7 +86,7 @@ def partition_to_obj(partition: Partition) -> list[int]:
     return list(partition.parts)
 
 
-def parse_partition(obj: Any, path: str = "$") -> Partition:
+def parse_partition(obj: object, path: str = "$") -> Partition:
     items = _require_list(obj, path)
     previous = None
     for index, value in enumerate(items):
@@ -114,7 +112,7 @@ def chain_to_obj(chain: PolyChain) -> dict:
     }
 
 
-def parse_chain(obj: Any, path: str = "$") -> PolyChain:
+def parse_chain(obj: object, path: str = "$") -> PolyChain:
     data = _require_object(obj, path, ("length", "factors"))
     length = _require_int(data["length"], f"{path}.length", maximum=MAX_CHAIN_LENGTH)
     rows = {}
@@ -160,7 +158,7 @@ def lemma_instance_to_obj(inst: LemmaInstance) -> dict:
     }
 
 
-def parse_lemma_instance(obj: Any, path: str = "$") -> LemmaInstance:
+def parse_lemma_instance(obj: object, path: str = "$") -> LemmaInstance:
     data = _require_object(obj, path, ("pairs", "A", "B"))
     pairs = []
     for index, entry in enumerate(_require_list(data["pairs"], f"{path}.pairs")):
@@ -189,7 +187,7 @@ def theorem_instance_to_obj(inst: TheoremInstance) -> dict:
     }
 
 
-def parse_theorem_instance(obj: Any, path: str = "$") -> TheoremInstance:
+def parse_theorem_instance(obj: object, path: str = "$") -> TheoremInstance:
     data = _require_object(obj, path, ("alpha", "gamma", "c", "r", "m", "p"))
     alpha = parse_chain(data["alpha"], f"{path}.alpha")
     gamma = parse_chain(data["gamma"], f"{path}.gamma")
@@ -216,7 +214,7 @@ def instance_to_obj(inst: LemmaInstance | TheoremInstance) -> dict:
     return theorem_instance_to_obj(inst)
 
 
-def parse_f_certificate(obj: Any, path: str = "$") -> FCertificate:
+def parse_f_certificate(obj: object, path: str = "$") -> FCertificate:
     data = _require_object(obj, path, ("fs",))
     return FCertificate(
         tuple(
@@ -226,7 +224,7 @@ def parse_f_certificate(obj: Any, path: str = "$") -> FCertificate:
     )
 
 
-def parse_beta_certificate(obj: Any, path: str = "$") -> BetaCertificate:
+def parse_beta_certificate(obj: object, path: str = "$") -> BetaCertificate:
     data = _require_object(obj, path, ("beta",))
     return BetaCertificate(parse_chain(data["beta"], f"{path}.beta"))
 
@@ -239,7 +237,7 @@ def certificate_to_obj(certificate: FCertificate | BetaCertificate | None):
     return {"beta": chain_to_obj(certificate.beta)}
 
 
-def parse_certificate(obj: Any, path: str = "$") -> FCertificate | BetaCertificate | None:
+def parse_certificate(obj: object, path: str = "$") -> FCertificate | BetaCertificate | None:
     if obj is None:
         return None
     data = _require_object(obj, path, ())
@@ -260,7 +258,7 @@ def solve_report_to_obj(report: SolveReport) -> dict:
     }
 
 
-def parse_solve_report(obj: Any, path: str = "$") -> SolveReport:
+def parse_solve_report(obj: object, path: str = "$") -> SolveReport:
     data = _require_object(obj, path, ("outcome", "certificate", "nodes", "budget", "space_size"))
     outcome = data["outcome"]
     if outcome not in _OUTCOMES:
@@ -275,7 +273,7 @@ def parse_solve_report(obj: Any, path: str = "$") -> SolveReport:
     return SolveReport(outcome, certificate, nodes, budget, space_size)
 
 
-def _compared_to_obj(value: Any):
+def _compared_to_obj(value: object):
     if value is None:
         return None
     if isinstance(value, Partition):
@@ -300,15 +298,16 @@ def transcript_to_obj(checks: list[ConditionCheck]) -> list[dict]:
     ]
 
 
-def write_contradiction_report(
-    inst: LemmaInstance, report: SolveReport, directory: str | Path = "."
-) -> Path:
+def write_contradiction_report(inst: LemmaInstance, report: SolveReport, directory="."):
     """Serialize a premise-satisfying NoSolution as a bug-report artifact.
 
     That verdict contradicts the existence statement the solver certifies,
     so it is recorded with the instance and a hash of the full search trace
-    for reproduction.  Returns the path written.
+    for reproduction.  ``directory`` is a string or path object; returns the
+    :class:`pathlib.Path` written.
     """
+    from pathlib import Path  # only this rare path needs it
+
     trace = search_trace_hash(inst, budget=report.budget)
     payload = {
         "instance": lemma_instance_to_obj(inst),

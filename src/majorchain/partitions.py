@@ -11,11 +11,13 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Union
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DominanceViolation, NotAPartition, _int_argument
 
-PartitionLike = Union["Partition", Sequence[int]]
+# The annotation of every argument coerced by ``as_partition``; a string, so
+# that nothing here imports ``typing``.
+PartitionLike = "Partition | Sequence[int]"
 
 
 class Partition:

@@ -39,15 +39,13 @@ RuntimeError.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import insort
-from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import prod
 from operator import le
 
 from .chains import PolyChain
-from .errors import SearchTooDeep, _int_argument
+from .errors import SearchTooDeep, _int_argument, _Value
 from .instances import (
     BetaCertificate,
     FCertificate,
@@ -69,8 +67,7 @@ ABORTED = "aborted"
 DEFAULT_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(_Value, fields=("outcome", "certificate", "nodes", "budget", "space_size")):
     """Outcome of one search.
 
     ``nodes`` counts candidate assignments actually tried; ``space_size``
@@ -78,11 +75,21 @@ class SolveReport:
     recorded so aborted reports still convey how large the task was.
     """
 
-    outcome: str
-    certificate: FCertificate | BetaCertificate | None
-    nodes: int
-    budget: int
-    space_size: int
+    def __init__(
+        self,
+        outcome: str,
+        certificate: FCertificate | BetaCertificate | None,
+        nodes: int,
+        budget: int,
+        space_size: int,
+    ):
+        self.__dict__.update(
+            outcome=outcome,
+            certificate=certificate,
+            nodes=nodes,
+            budget=budget,
+            space_size=space_size,
+        )
 
     @property
     def found(self) -> bool:
@@ -98,9 +105,9 @@ def _run(search, budget: int, workers: int) -> SolveReport:
 
     Every :class:`SolveReport` is built here from the search's ``(outcome,
     certificate, nodes)``.  ``workers`` is validated and otherwise ignored:
-    the search is sequential.  With no positions the search is just the leaf
-    test, which costs 0 nodes.  The module docstring gives the root-window
-    rule that keeps node counts and traces fixed.
+    the search is sequential.  A search with no positions decides at once,
+    for 0 nodes.  The module docstring gives the root-window rule that keeps
+    node counts and traces fixed.
     """
     _int_argument("budget", budget)
     _int_argument("workers", workers, minimum=1)
@@ -146,7 +153,11 @@ class _SplitSearch:
     gaps committed so far, position (i, j) of pair (d, t) tries the values
     v from lo = max(t[j], d[j] - (|B|//w - cb)) up to hi = min(d[j], the
     pair's previous value, t[j] + |A|//w - ca).  So every value keeps
-    w*ca <= |A| and w*cb <= |B|.
+    w*ca <= |A| and w*cb <= |B|.  At the last position ``rest`` is 0 and the
+    shortfall row is empty, so the two mass cuts below force w*ca >= |A| and
+    w*cb >= |B| there: every leaf the descent reaches is a splitting.  A
+    search with no positions has no cuts, and ``run`` decides it before the
+    descent.
 
     Each value tried costs one node and at most four checks, each O(1)
     Python work or one pass inside C builtins:
@@ -208,7 +219,7 @@ class _SplitSearch:
         def descend(pos_idx: int, ca: int, cb: int) -> bool:
             nonlocal nodes
             if pos_idx == num_positions:
-                return w * ca == total_a and w * cb == total_b
+                return True  # the clamps and the last position's mass cuts fixed both totals
             i, j, dj, tj, rest, short = steps[pos_idx]
             values = assigned[i]
             hi = values[j - 1] if j and values[j - 1] < dj else dj
@@ -259,11 +270,13 @@ class _SplitSearch:
             return False
 
         try:
-            if descend(0, 0, 0):
-                return FOUND, FCertificate(tuple(Partition(values) for values in assigned)), nodes
-            return NO_SOLUTION, None, nodes
+            # With no positions the only candidate is f = (), which splits only empty A and B.
+            found = descend(0, 0, 0) if num_positions else total_a == total_b == 0
         except _BudgetHit:
             return ABORTED, None, nodes
+        if found:
+            return FOUND, FCertificate(tuple(Partition(values) for values in assigned)), nodes
+        return NO_SOLUTION, None, nodes
 
 
 class _ChainSearch:
@@ -422,7 +435,7 @@ def solve_theorem(
     beta = f_to_beta(inst, report.certificate)
     if not verify_theorem_conclusion(inst, beta):
         raise RuntimeError("internal error: transported certificate failed verification")
-    return replace(report, certificate=beta)
+    return SolveReport(FOUND, beta, report.nodes, report.budget, report.space_size)
 
 
 def solve_theorem_direct(
@@ -450,6 +463,8 @@ def search_trace_hash(inst: LemmaInstance, budget: int = DEFAULT_BUDGET) -> str:
     Reruns the (deterministic) search for its trace alone, unverified; used
     when serializing a tripwire report so the exact explored tree is pinned.
     """
+    import hashlib  # only this trace needs it, and it is costly to load
+
     digest = hashlib.sha256()
     _run(_SplitSearch(inst, 1, digest), budget, 1)
     return digest.hexdigest()

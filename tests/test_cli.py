@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 
 import pytest
@@ -11,6 +10,7 @@ from majorchain import (
     InstanceGenerator,
     Partition,
     PolyChain,
+    SolveReport,
     search_trace_hash,
     theorem_to_lemma,
 )
@@ -217,7 +217,8 @@ class TestContradictionTripwire:
         real = getattr(cli, name)
 
         def none_report(inst, **kwargs):
-            return dataclasses.replace(real(inst, **kwargs), outcome=NO_SOLUTION, certificate=None)
+            r = real(inst, **kwargs)
+            return SolveReport(NO_SOLUTION, None, r.nodes, r.budget, r.space_size)
 
         monkeypatch.setattr(cli, name, none_report)
 

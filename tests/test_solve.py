@@ -67,6 +67,13 @@ class TestSolveLemma:
         assert report.outcome == FOUND and report.certificate.fs == ()
         assert report.nodes == 0
 
+    @pytest.mark.parametrize("A, B", [((1,), ()), ((), (1,)), ((2,), (1,))])
+    def test_no_positions_and_a_nonempty_side_is_none_for_no_nodes(self, A, B):
+        # With no positions the search decides before its descent: only f = ()
+        # exists, and it splits nothing.  A budget of 0 shows that costs no node.
+        report = solve_lemma(lemma([((), ())], A, B), budget=0)
+        assert (report.outcome, report.certificate, report.nodes) == (NO_SOLUTION, None, 0)
+
     def test_premise_violating_instance_is_just_unsolvable(self):
         inst = lemma([((1, 1), ())], (1, 1), (1, 1))
         assert not inst.premise_holds

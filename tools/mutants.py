@@ -3,9 +3,11 @@
 Each mutant is one exact text edit to one file under ``src/``: a search cut
 or clamp dropped or tightened, one bound of the direct search's static
 window dropped, the splitting search's prefix table of A left unscaled,
-each verifier condition forced true, a test of ``majorizes`` dropped, a
-condition of the CLI's contradiction tripwire dropped, an exception class
-no longer caught, the integer-argument rule made to accept bools, the
+the splitting search's zero-position decision forced true, each verifier
+condition forced true, a test of ``majorizes`` dropped, a condition of the
+CLI's contradiction tripwire dropped, an exception class no longer caught,
+the integer-argument rule made to accept bools, the records' equality
+narrowed to their first field and their assignment guard dropped, the
 sampler's unit transfer allowed between equal parts.  For each one the
 script copies ``src/``, ``tests/``, ``demos/``, ``bench/`` (the tests read
 its deep corpus) and ``pyproject.toml`` into a temporary directory, applies
@@ -42,6 +44,7 @@ COPIED = ("src", "tests", "demos", "bench", "pyproject.toml")
 SKIPPED_MODULES = {"test_acceptance.py", "test_mutant_list.py"}
 # Modules that kill most mutants, run first so a kill comes early; the rest follow by name.
 FIRST_MODULES = (
+    "test_import_footprint.py",
     "test_argument_rules.py",
     "test_solve.py",
     "test_split_kernel.py",
@@ -59,6 +62,7 @@ GATE_S = 60
 
 SOLVE = "src/majorchain/solve.py"
 INSTANCES = "src/majorchain/instances.py"
+ERRORS = "src/majorchain/errors.py"
 
 # (name, file, text, replacement): ``text`` must occur exactly once in ``file``.
 MUTANTS = (
@@ -111,6 +115,12 @@ MUTANTS = (
         SOLVE,
         "                        break  # larger values make this prefix worse\n",
         "                        continue\n",
+    ),
+    (
+        "split-zero-positions-decided-true",
+        SOLVE,
+        "total_a == total_b == 0",
+        "True",
     ),
     (
         "chain-top-clamp-dropped",
@@ -235,9 +245,21 @@ MUTANTS = (
     ),
     (
         "int-argument-accepts-bools",
-        "src/majorchain/errors.py",
+        ERRORS,
         "isinstance(value, bool) or ",
         "",
+    ),
+    (
+        "value-eq-first-field-only",
+        ERRORS,
+        "            return self._key(self) == other._key(other)\n",
+        "            return self._key(self)[0] == other._key(other)[0]\n",
+    ),
+    (
+        "value-setattr-allowed",
+        ERRORS,
+        '        raise AttributeError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
     ),
     (
         "generator-transfer-between-equal-parts",
