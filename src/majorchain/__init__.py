@@ -28,7 +28,6 @@ from .errors import (
     NonLinearFactor,
     NotAPartition,
     PremiseViolation,
-    SearchTooDeep,
 )
 from .partitions import (
     Partition,
@@ -115,7 +114,6 @@ __all__ = [
     "Partition",
     "PolyChain",
     "PremiseViolation",
-    "SearchTooDeep",
     "SolveReport",
     "TheoremInstance",
     "as_partition",

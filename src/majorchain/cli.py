@@ -12,10 +12,9 @@ Exit codes, mutually exclusive:
 * 0: success (verified, found, translated, identity holds, reproduced);
 * 1: verification failed or nothing found;
 * 2: malformed input, or input a solver cannot handle (``--weight`` outside
-  single-pair splitting instances, a search too deep for the interpreter,
-  a chain-completion instance with a factor of degree 2 or more given to
-  ``translate``, or to ``solve`` when its premises hold: the translation
-  needs degree-1 factors);
+  single-pair splitting instances, or a chain-completion instance with a
+  factor of degree 2 or more given to ``translate``, or to ``solve`` when
+  its premises hold: the translation needs degree-1 factors);
 * 3: node budget exceeded;
 * 4: contradiction tripwire: a premise-satisfying instance with no
   solution, which the existence theorem rules out.  A bug-report artifact

@@ -65,15 +65,6 @@ class ConclusionViolation(MajorchainError, ValueError):
     """A certificate failed verification where a verified one was required."""
 
 
-class SearchTooDeep(MajorchainError, ValueError):
-    """A search has more positions than the interpreter's recursion limit allows.
-
-    Each search recurses once per position, so under the default limit an
-    instance with about a thousand positions or more cannot be searched; it
-    is rejected with this error rather than left to crash.
-    """
-
-
 class InputError(MajorchainError, ValueError):
     """Malformed JSON input; ``path`` points at the offending element."""
 

@@ -7,14 +7,16 @@ integer tuples).  Pruning only ever cuts subtrees that provably contain no
 solution, which keeps that property; a NoSolution verdict therefore means
 the whole (pruned) space was exhausted.
 
-Each search is one recursive descent from the first position under one
-node counter.  Work is measured in nodes, one per candidate value tried at
-a position, so reports are machine independent.  When the node budget would
-be exceeded the search stops with an ``aborted`` outcome and ``nodes`` equal
-to the budget.  The splitting search has two monotone cuts that skip the
-rest of a position's window; at the first position they skip only the
-value that triggered them, so every value in the root window is tried and
-costs one node and one trace entry.  Node counts are part of a solve's
+Each search is one loop under one node counter.  A stack holds one frame
+per committed position, and backtracking pops a frame and undoes that
+position, so how many positions a search can have is bounded by memory,
+not by the interpreter's recursion limit.  Work is measured in nodes, one
+per candidate value tried at a position, so reports are machine
+independent.  When the node budget would be exceeded the search stops with
+an ``aborted`` outcome and ``nodes`` equal to the budget.  The splitting
+search has two monotone cuts that skip the rest of a position's window; at
+the first position they skip only the value that triggered them, so every
+value in the root window is tried and costs one node and one trace entry.  Node counts are part of a solve's
 output and the trace hash pins the explored tree, so this root-window rule
 keeps both equal to those of a search that runs one sub-search per
 first-position value.  Each splitting-search node reads precomputed sums,
@@ -25,9 +27,7 @@ sums would, so node counts and traces do not depend on how checks are made.
 The direct chain search also clamps each position's window by mass: every
 solution has sum deg*|beta_f| == |c+| + sum deg*|alpha_f|, because under the
 inner sandwich |sigma(alpha, beta)| = sum deg*(|beta_f| - |alpha_f|) and
-majorization needs it to equal |c+|.  A search that recurses deeper than the
-interpreter allows raises :class:`~majorchain.errors.SearchTooDeep` naming
-its number of positions.
+majorization needs it to equal |c+|.
 
 ``_run`` builds every report.  Each public solver verifies the certificate
 it reports exactly once, with a verifier of :mod:`majorchain.instances`:
@@ -45,7 +45,7 @@ from math import prod
 from operator import le
 
 from .chains import PolyChain
-from .errors import SearchTooDeep, _int_argument, _Value
+from .errors import _int_argument, _Value
 from .instances import (
     BetaCertificate,
     FCertificate,
@@ -96,10 +96,6 @@ class SolveReport(_Value, fields=("outcome", "certificate", "nodes", "budget", "
         return self.outcome == FOUND
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def _run(search, budget: int, workers: int) -> SolveReport:
     """Validate the arguments, run the one depth-first search and report it.
 
@@ -111,13 +107,7 @@ def _run(search, budget: int, workers: int) -> SolveReport:
     """
     _int_argument("budget", budget)
     _int_argument("workers", workers, minimum=1)
-    try:
-        outcome, certificate, nodes = search.run(budget)
-    except RecursionError:
-        raise SearchTooDeep(
-            f"the search has {len(search.steps)} positions, more than the "
-            "interpreter's recursion limit allows"
-        ) from None
+    outcome, certificate, nodes = search.run(budget)
     return SolveReport(outcome, certificate, nodes, budget, search.space_size)
 
 
@@ -155,9 +145,9 @@ class _SplitSearch:
     pair's previous value, t[j] + |A|//w - ca).  So every value keeps
     w*ca <= |A| and w*cb <= |B|.  At the last position ``rest`` is 0 and the
     shortfall row is empty, so the two mass cuts below force w*ca >= |A| and
-    w*cb >= |B| there: every leaf the descent reaches is a splitting.  A
+    w*cb >= |B| there: every leaf the search reaches is a splitting.  A
     search with no positions has no cuts, and ``run`` decides it before the
-    descent.
+    loop.
 
     Each value tried costs one node and at most four checks, each O(1)
     Python work or one pass inside C builtins:
@@ -214,69 +204,74 @@ class _SplitSearch:
         assigned = [list(t) for t in self.floors]
         lower_gaps: list[int] = []  # committed gaps, ascending
         upper_gaps: list[int] = []
-        nodes = 0
-
-        def descend(pos_idx: int, ca: int, cb: int) -> bool:
-            nonlocal nodes
-            if pos_idx == num_positions:
-                return True  # the clamps and the last position's mass cuts fixed both totals
+        # One frame per committed position: its value, window top, ca and cb before it, and gaps.
+        stack = []
+        nodes = pos_idx = ca = cb = 0
+        value = None  # None until the window of the position just entered is computed
+        # With no positions the only candidate is f = (), which splits only empty A and B.
+        if not (num_positions or total_a == total_b == 0):
+            return NO_SOLUTION, None, nodes
+        # Past the last position the clamps and its mass cuts have fixed both totals.
+        while pos_idx < num_positions:
             i, j, dj, tj, rest, short = steps[pos_idx]
             values = assigned[i]
-            hi = values[j - 1] if j and values[j - 1] < dj else dj
-            if tj + limit_a - ca < hi:
-                hi = tj + limit_a - ca
-            lo = dj - (limit_b - cb)
-            if lo < tj:
-                lo = tj
-            for value in range(lo, hi + 1):
-                if nodes >= cap:
-                    raise _BudgetHit
-                nodes += 1
-                if trace is not None:
-                    trace.update(b"%d:%d;" % (pos_idx, value))
-                gap_lower = value - tj
-                gap_upper = dj - value
-                ca2 = ca + gap_lower
-                cb2 = cb + gap_upper
-                if cb2 + rest < need_b:
-                    # The root tries its whole window, so node counts and traces stay put.
-                    if pos_idx == 0:
-                        continue
-                    break  # larger values shrink the upper side further
-                if ca2 + rest - short[value] < need_a:
-                    continue  # larger values can still reach the lower total
-                if gap_lower:
-                    insort(lower_gaps, gap_lower)
-                    if not all(map(le, accumulate(reversed(lower_gaps)), pre_a)):
-                        lower_gaps.remove(gap_lower)
-                        # As above, the root tries its whole window.
-                        if pos_idx == 0:
-                            continue
-                        break  # larger values make this prefix worse
-                if gap_upper:
-                    insort(upper_gaps, gap_upper)
-                    if not all(map(le, accumulate(reversed(upper_gaps)), pre_b)):
-                        upper_gaps.remove(gap_upper)
-                        if gap_lower:
-                            lower_gaps.remove(gap_lower)
-                        continue  # larger values shrink this gap
-                values[j] = value
-                if descend(pos_idx + 1, ca2, cb2):
-                    return True
+            if value is None:
+                hi = values[j - 1] if j and values[j - 1] < dj else dj
+                if tj + limit_a - ca < hi:
+                    hi = tj + limit_a - ca
+                value = dj - (limit_b - cb)
+                if value < tj:
+                    value = tj
+            if value > hi:
+                # The window is exhausted: undo the previous position and try its next value.
+                if not stack:
+                    return NO_SOLUTION, None, nodes
+                value, hi, ca, cb, gap_lower, gap_upper = stack.pop()
                 if gap_lower:
                     lower_gaps.remove(gap_lower)
                 if gap_upper:
                     upper_gaps.remove(gap_upper)
-            return False
-
-        try:
-            # With no positions the only candidate is f = (), which splits only empty A and B.
-            found = descend(0, 0, 0) if num_positions else total_a == total_b == 0
-        except _BudgetHit:
-            return ABORTED, None, nodes
-        if found:
-            return FOUND, FCertificate(tuple(Partition(values) for values in assigned)), nodes
-        return NO_SOLUTION, None, nodes
+                pos_idx -= 1
+                value += 1
+                continue
+            if nodes >= cap:
+                return ABORTED, None, nodes
+            nodes += 1
+            if trace is not None:
+                trace.update(b"%d:%d;" % (pos_idx, value))
+            gap_lower = value - tj
+            gap_upper = dj - value
+            ca2 = ca + gap_lower
+            cb2 = cb + gap_upper
+            if cb2 + rest < need_b:
+                # Larger values shrink the upper side further.  The root tries its whole
+                # window, so node counts and traces stay put.
+                value = value + 1 if pos_idx == 0 else hi + 1
+                continue
+            if ca2 + rest - short[value] < need_a:
+                value += 1  # larger values can still reach the lower total
+                continue
+            if gap_lower:
+                insort(lower_gaps, gap_lower)
+                if not all(map(le, accumulate(reversed(lower_gaps)), pre_a)):
+                    lower_gaps.remove(gap_lower)
+                    # Larger values make this prefix worse; as above, the root tries its window.
+                    value = value + 1 if pos_idx == 0 else hi + 1
+                    continue
+            if gap_upper:
+                insort(upper_gaps, gap_upper)
+                if not all(map(le, accumulate(reversed(upper_gaps)), pre_b)):
+                    upper_gaps.remove(gap_upper)
+                    if gap_lower:
+                        lower_gaps.remove(gap_lower)
+                    value += 1  # larger values shrink this gap
+                    continue
+            values[j] = value
+            stack.append((value, hi, ca, cb, gap_lower, gap_upper))
+            ca, cb = ca2, cb2
+            pos_idx += 1
+            value = None
+        return FOUND, FCertificate(tuple(Partition(values) for values in assigned)), nodes
 
 
 class _ChainSearch:
@@ -334,39 +329,45 @@ class _ChainSearch:
         steps = self.steps
         num_positions = len(steps)
         assigned = [[0] * self.chain_length for _ in self.factors]
-        nodes = 0
-
-        def descend(pos_idx: int, mass: int) -> BetaCertificate | None:
-            nonlocal nodes
+        stack = []  # one frame per committed position: its value, window top and mass before it
+        nodes = pos_idx = mass = 0
+        value = None  # None until the window of the position just entered is computed
+        while True:
             if pos_idx == num_positions:
                 leaf = BetaCertificate(
                     PolyChain(self.chain_length, dict(zip(self.factors, map(tuple, assigned))))
                 )
-                return leaf if verify_theorem_conclusion(self.inst, leaf) else None
-            fi, q, deg, lo, hi, room, excess = steps[pos_idx]
-            if q >= 2 and assigned[fi][q - 2] > lo:
-                lo = assigned[fi][q - 2]
-            top = (room - mass) // deg
-            if top < hi:
-                hi = top
-            bottom = -((excess + mass) // deg)  # ceiling division
-            if bottom > lo:
-                lo = bottom
-            for value in range(lo, hi + 1):
-                if nodes >= cap:
-                    raise _BudgetHit
-                nodes += 1
-                assigned[fi][q - 1] = value
-                found = descend(pos_idx + 1, mass + deg * value)
-                if found is not None:
-                    return found
-            return None
-
-        try:
-            certificate = descend(0, 0)
-        except _BudgetHit:
-            return ABORTED, None, nodes
-        return (NO_SOLUTION if certificate is None else FOUND), certificate, nodes
+                if verify_theorem_conclusion(self.inst, leaf):
+                    return FOUND, leaf, nodes
+            else:
+                fi, q, deg, lo, ceiling, room, excess = steps[pos_idx]
+                if value is None:
+                    hi = ceiling
+                    if q >= 2 and assigned[fi][q - 2] > lo:
+                        lo = assigned[fi][q - 2]
+                    top = (room - mass) // deg
+                    if top < hi:
+                        hi = top
+                    bottom = -((excess + mass) // deg)  # ceiling division
+                    if bottom > lo:
+                        lo = bottom
+                    value = lo
+                if value <= hi:
+                    if nodes >= cap:
+                        return ABORTED, None, nodes
+                    nodes += 1
+                    assigned[fi][q - 1] = value
+                    stack.append((value, hi, mass))
+                    mass += deg * value
+                    pos_idx += 1
+                    value = None
+                    continue
+            # A failed leaf or an exhausted window: undo the previous position, try its next value.
+            if not stack:
+                return NO_SOLUTION, None, nodes
+            value, hi, mass = stack.pop()
+            pos_idx -= 1
+            value += 1
 
 
 def _solve_splitting(inst: LemmaInstance, w: int, budget: int, workers: int) -> SolveReport:

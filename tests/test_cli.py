@@ -485,8 +485,8 @@ class TestWorkersFlag:
 
 
 class TestInputsBeyondTheInterpreter:
-    def test_search_too_deep_exits_2(self, capsys, tmp_path):
-        # Valid and premise-true, but the search needs 1500 nested levels.
+    def test_search_deeper_than_the_recursion_limit_exits_0(self, capsys, tmp_path):
+        # Valid and premise-true; the search commits 1500 positions, one frame each.
         instance = write(
             tmp_path,
             "long.json",
@@ -494,11 +494,9 @@ class TestInputsBeyondTheInterpreter:
         )
         code = cli_dispatch(["check", "--mode", "lemma", "--instance", instance])
         assert code == 0 and json.loads(capsys.readouterr().out)["verified"]
-        code = cli_dispatch(["solve", "--mode", "lemma", "--instance", instance])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "1500 positions" in captured.err
+        code, out = run(capsys, ["solve", "--mode", "lemma", "--instance", instance])
+        assert code == 0
+        assert out["outcome"] == "found" and out["nodes"] == 1500
 
     @pytest.mark.parametrize(
         "argv",

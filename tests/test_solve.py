@@ -15,7 +15,6 @@ from majorchain import (
     Partition,
     PolyChain,
     PremiseViolation,
-    SearchTooDeep,
     TheoremInstance,
     search_trace_hash,
     solve_lemma,
@@ -389,18 +388,27 @@ class TestDirectMassWindow:
             assert mass(inst, beta) == weight(inst.c_plus) + mass(inst, inst.alpha)
 
 
-class TestSearchTooDeep:
-    def test_splitting_search_reports_its_positions(self):
-        inst = lemma([((1,) * 1500, ())], (1,) * 1500, ())
-        assert inst.premise_holds
-        with pytest.raises(SearchTooDeep, match="1500 positions"):
-            solve_lemma(inst)
+class TestLongSearches:
+    """Each search is a loop, so its depth is not bounded by the interpreter's recursion limit."""
 
-    def test_direct_search_reports_its_positions(self):
-        chain = PolyChain(1200, {X: (0,) * 1200})
+    @pytest.mark.parametrize(
+        "n, a, b, nodes",
+        [(1500, 1500, 0, 1500), (2000, 1000, 1000, 3000)],
+        ids=["1500", "2000"],
+    )
+    def test_splitting_search_finds_a_long_instance(self, n, a, b, nodes):
+        inst = lemma([((1,) * n, ())], (1,) * a, (1,) * b)
+        assert inst.premise_holds
+        report = solve_lemma(inst)
+        assert (report.outcome, report.nodes) == (FOUND, nodes)
+        assert report.certificate.fs == (Partition((1,) * a),)
+
+    def test_direct_search_finds_a_long_instance(self):
+        chain = PolyChain(2000, {X: (0,) * 2000})
         inst = TheoremInstance(chain, chain, Partition(), Partition(), m=0, p=0)
-        with pytest.raises(SearchTooDeep, match="1200 positions"):
-            solve_theorem_direct(inst)
+        report = solve_theorem_direct(inst)
+        assert (report.outcome, report.nodes) == (FOUND, 2000)
+        assert report.certificate.beta == chain
 
 
 class TestTranslatedReport:

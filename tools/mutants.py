@@ -1,14 +1,16 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each mutant is one exact text edit to one file under ``src/``: a search cut
-or clamp dropped or tightened, one bound of the direct search's static
-window dropped, the splitting search's prefix table of A left unscaled,
-the splitting search's zero-position decision forced true, each verifier
-condition forced true, a test of ``majorizes`` dropped, a condition of the
-CLI's contradiction tripwire dropped, an exception class no longer caught,
-the integer-argument rule made to accept bools, the records' equality
-narrowed to their first field and their assignment guard dropped, the
-sampler's unit transfer allowed between equal parts.  For each one the
+Each of the 35 mutants is one exact text edit to one file under ``src/``:
+a search cut or clamp dropped or tightened, one bound of the direct
+search's static window dropped, the splitting search's prefix table of A
+left unscaled, the splitting search's zero-position decision forced true,
+the splitting backtrack keeping the popped lower gap, the direct
+backtrack not restoring the mass, each verifier condition forced true, a
+test of ``majorizes`` dropped, a condition of the CLI's contradiction
+tripwire dropped, an exception class no longer caught, the
+integer-argument rule made to accept bools, the records' equality narrowed
+to their first field and their assignment guard dropped, the sampler's
+unit transfer allowed between equal parts.  For each one the
 script copies ``src/``, ``tests/``, ``demos/``, ``bench/`` (the tests read
 its deep corpus) and ``pyproject.toml`` into a temporary directory, applies
 the edit there (never to the working tree) and runs every ``tests/``
@@ -69,20 +71,20 @@ MUTANTS = (
     (
         "split-upper-mass-cut-dropped",
         SOLVE,
-        "                if cb2 + rest < need_b:\n",
-        "                if False:\n",
+        "            if cb2 + rest < need_b:\n",
+        "            if False:\n",
     ),
     (
         "split-upper-mass-cut-tightened",
         SOLVE,
-        "                if cb2 + rest < need_b:\n",
-        "                if cb2 + rest <= need_b:\n",
+        "            if cb2 + rest < need_b:\n",
+        "            if cb2 + rest <= need_b:\n",
     ),
     (
         "split-lower-mass-cut-dropped",
         SOLVE,
-        "                if ca2 + rest - short[value] < need_a:\n",
-        "                if False:\n",
+        "            if ca2 + rest - short[value] < need_a:\n",
+        "            if False:\n",
     ),
     (
         "split-lower-prefix-cut-dropped",
@@ -105,16 +107,18 @@ MUTANTS = (
     (
         "split-root-window-rule-dropped",
         SOLVE,
-        "                    # The root tries its whole window, so node counts and traces stay put.\n"
-        "                    if pos_idx == 0:\n"
-        "                        continue\n",
-        "",
+        "                # window, so node counts and traces stay put.\n"
+        "                value = value + 1 if pos_idx == 0 else hi + 1\n",
+        "                # window, so node counts and traces stay put.\n"
+        "                value = hi + 1\n",
     ),
     (
         "split-lower-prefix-break-to-continue",
         SOLVE,
-        "                        break  # larger values make this prefix worse\n",
-        "                        continue\n",
+        "                    # Larger values make this prefix worse; as above, the root tries its window.\n"
+        "                    value = value + 1 if pos_idx == 0 else hi + 1\n",
+        "                    # Larger values make this prefix worse; as above, the root tries its window.\n"
+        "                    value += 1\n",
     ),
     (
         "split-zero-positions-decided-true",
@@ -123,29 +127,41 @@ MUTANTS = (
         "True",
     ),
     (
+        "split-backtrack-keeps-popped-lower-gap",
+        SOLVE,
+        "                if gap_lower:\n                    lower_gaps.remove(gap_lower)\n",
+        "",
+    ),
+    (
         "chain-top-clamp-dropped",
         SOLVE,
-        "            if top < hi:\n                hi = top\n",
+        "                    if top < hi:\n                        hi = top\n",
         "",
     ),
     (
         "chain-top-clamp-tightened",
         SOLVE,
-        "            top = (room - mass) // deg\n",
-        "            top = (room - mass) // deg - 1\n",
+        "                    top = (room - mass) // deg\n",
+        "                    top = (room - mass) // deg - 1\n",
     ),
     (
         "chain-bottom-clamp-dropped",
         SOLVE,
-        "            if bottom > lo:\n                lo = bottom\n",
+        "                    if bottom > lo:\n                        lo = bottom\n",
         "",
     ),
     (
         "chain-previous-exponent-floor-dropped",
         SOLVE,
-        "            if q >= 2 and assigned[fi][q - 2] > lo:\n"
-        "                lo = assigned[fi][q - 2]\n",
+        "                    if q >= 2 and assigned[fi][q - 2] > lo:\n"
+        "                        lo = assigned[fi][q - 2]\n",
         "",
+    ),
+    (
+        "chain-backtrack-keeps-mass",
+        SOLVE,
+        "            value, hi, mass = stack.pop()\n",
+        "            value, hi, _ = stack.pop()\n",
     ),
     (
         "chain-inner-floor-dropped",
