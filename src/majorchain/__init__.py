@@ -80,12 +80,19 @@ from .solve import (
     solve_theorem,
     solve_theorem_direct,
 )
-from .generator import (
-    GeneratorConfig,
-    InstanceGenerator,
-    generate_lemma_instance,
-    generate_theorem_instance,
+
+_GENERATOR_NAMES = frozenset(
+    ("GeneratorConfig", "InstanceGenerator", "generate_lemma_instance", "generate_theorem_instance")
 )
+
+
+def __getattr__(name):
+    """Load the sampler, and with it ``random``, on the first use of one of its names."""
+    if name in _GENERATOR_NAMES:
+        from . import generator
+        return getattr(generator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -33,7 +33,6 @@ import sys
 
 from . import jsonio
 from .errors import ConclusionViolation, InputError, MajorchainError, PremiseViolation
-from .generator import GeneratorConfig, InstanceGenerator
 from .instances import (
     _verdict,
     check_lemma_conclusion,
@@ -187,6 +186,8 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generator import GeneratorConfig, InstanceGenerator  # only gen needs the sampler
+
     config = GeneratorConfig(
         seed=args.seed,
         k=args.k,

@@ -20,9 +20,10 @@ value in the root window is tried and costs one node and one trace entry.  Node 
 output and the trace hash pins the explored tree, so this root-window rule
 keeps both equal to those of a search that runs one sub-search per
 first-position value.  Each splitting-search node reads precomputed sums,
-a shortfall row and two prefix scans against tables of floor(prefix/w),
-run inside C builtins (see ``_SplitSearch``); they decide what the scaled
-sums would, so node counts and traces do not depend on how checks are made.
+one ``bisect`` into its pair's negated d for the shortfall and two prefix
+scans against tables of floor(prefix/w), run inside C builtins (see
+``_SplitSearch``); they decide what the scaled sums would, so node counts
+and traces do not depend on how checks are made.
 
 The direct chain search also clamps each position's window by mass: every
 solution has sum deg*|beta_f| == |c+| + sum deg*|alpha_f|, because under the
@@ -39,7 +40,7 @@ RuntimeError.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from itertools import accumulate
 from math import prod
 from operator import le
@@ -118,22 +119,6 @@ def _sums_after(values) -> list[int]:
     return sums[1:]
 
 
-class _Shortfall(dict):
-    """Shortfall row of one position: ``short[v] == sum(max(0, part - v) for part in tail)``.
-
-    ``tail`` is the rest of the pair's d after the position.  An entry is
-    computed the first time the search asks for it and kept, so a row costs
-    nothing to set up and never holds more entries than the search has
-    nodes, however large the parts are.
-    """
-
-    __slots__ = ("tail",)
-
-    def __missing__(self, v):
-        short = self[v] = sum(part - v for part in self.tail if part > v)
-        return short
-
-
 class _SplitSearch:
     """DFS over candidate splittings f^i with t^i <= f^i <= d^i.
 
@@ -144,7 +129,7 @@ class _SplitSearch:
     v from lo = max(t[j], d[j] - (|B|//w - cb)) up to hi = min(d[j], the
     pair's previous value, t[j] + |A|//w - ca).  So every value keeps
     w*ca <= |A| and w*cb <= |B|.  At the last position ``rest`` is 0 and the
-    shortfall row is empty, so the two mass cuts below force w*ca >= |A| and
+    pair has no later parts, so the two mass cuts below force w*ca >= |A| and
     w*cb >= |B| there: every leaf the search reaches is a splitting.  A
     search with no positions has no cuts, and ``run`` decides it before the
     loop.
@@ -157,10 +142,14 @@ class _SplitSearch:
     * lower mass: ca + (v - t[j]) plus what the later positions can still
       add must reach ceil(|A|/w).  A later position u of the same pair adds
       at most min(d[u], v) - t[u], because f is a partition; a later pair
-      adds at most its gaps.  That is ``rest - short[v]``, where the
-      shortfall row ``short`` holds sum(max(0, d[u] - v) for u > j): the
-      sum of the parts after the v-th of the conjugate of d's tail
-      (d[j+1], d[j+2], ...), so 0 once v >= d[j+1];
+      adds at most its gaps.  That is ``rest`` minus the shortfall
+      sum(max(0, d[u] - v) for u > j), the sum of the parts after the v-th
+      of the conjugate of d's tail (d[j+1], d[j+2], ...).  d is
+      non-increasing, so its negated parts ``neg_d`` ascend, ``bisect``
+      applies, and the later parts above v are d[j+1:end] with ``end =
+      bisect_left(neg_d, -v, j + 1)``.  The shortfall is then
+      ``sums[end] - sums[j + 1] - (end - j - 1) * v`` over the pair's
+      prefix sums ``sums``: 0 once v >= d[j+1];
     * lower and upper prefix: the committed gaps, sorted, must have every
       top-r sum S at most ``pre_a[r]`` (``pre_b[r]``), A's (B's) r-th prefix
       sum P floor-divided by w, since w*S <= P exactly when S <= P//w.  Ranks
@@ -184,13 +173,14 @@ class _SplitSearch:
         gaps = [dv - tv for d, t in pairs for dv, tv in zip(d, t)]
         self.space_size = prod(gap + 1 for gap in gaps)
         rest_after = _sums_after(gaps)
-        # One step per position: pair, index, d[j], t[j], later gaps, shortfall row.
+        # One step per position: pair, index, d[j], t[j], later gaps, and two tables its pair's
+        # steps share: d negated (ascending, so bisect needs no costly key) and its prefix sums.
         self.steps = []
         for i, (d, t) in enumerate(pairs):
+            neg_d = [-part for part in d]
+            sums = list(accumulate(d, initial=0))
             for j in range(len(d)):
-                short = _Shortfall()
-                short.tail = d[j + 1:]
-                self.steps.append((i, j, d[j], t[j], rest_after[len(self.steps)], short))
+                self.steps.append((i, j, d[j], t[j], rest_after[len(self.steps)], neg_d, sums))
 
     def run(self, cap: int):
         w = self.w
@@ -213,7 +203,7 @@ class _SplitSearch:
             return NO_SOLUTION, None, nodes
         # Past the last position the clamps and its mass cuts have fixed both totals.
         while pos_idx < num_positions:
-            i, j, dj, tj, rest, short = steps[pos_idx]
+            i, j, dj, tj, rest, neg_d, sums = steps[pos_idx]
             values = assigned[i]
             if value is None:
                 hi = values[j - 1] if j and values[j - 1] < dj else dj
@@ -248,7 +238,8 @@ class _SplitSearch:
                 # window, so node counts and traces stay put.
                 value = value + 1 if pos_idx == 0 else hi + 1
                 continue
-            if ca2 + rest - short[value] < need_a:
+            end = bisect_left(neg_d, -value, j + 1)  # d[j + 1:end] are the parts above value
+            if ca2 + rest - (sums[end] - sums[j + 1] - (end - j - 1) * value) < need_a:
                 value += 1  # larger values can still reach the lower total
                 continue
             if gap_lower:

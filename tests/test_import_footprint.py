@@ -1,11 +1,13 @@
 """The import path stays lean, and the records still behave as frozen values.
 
 ``import majorchain``, ``majorchain.cli`` and ``majorchain.jsonio`` load
-none of ``dataclasses``, ``inspect``, ``hashlib``, ``pathlib`` or ``typing``:
-the eight records are plain classes on ``errors._Value``, and ``hashlib``
-loads on the first trace hash.  The record tests pin what the frozen
-dataclasses used to give: equality and hashing by field values, no
-assignment or deletion, the ``Name(field=value, ...)`` repr and
+none of ``dataclasses``, ``inspect``, ``hashlib``, ``pathlib``, ``typing``,
+``random`` or ``majorchain.generator``, and neither does a solve: the eight
+records are plain classes on ``errors._Value``, ``hashlib`` loads on the
+first trace hash, and the sampler (with ``random``) on the first use of one
+of its names, which the package still exports.  The record tests pin what
+the frozen dataclasses used to give: equality and hashing by field values,
+no assignment or deletion, the ``Name(field=value, ...)`` repr and
 ``Factor``'s ordering, with ``cached_property`` still caching.
 """
 
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import majorchain
 import majorchain.instances
 from majorchain import (
     BetaCertificate,
@@ -32,7 +35,9 @@ from majorchain import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("dataclasses", "inspect", "hashlib", "pathlib", "typing")
+HEAVY = (
+    "dataclasses", "inspect", "hashlib", "pathlib", "typing", "random", "majorchain.generator"
+)
 
 PROBE = f"""
 import json, sys
@@ -61,6 +66,14 @@ def test_the_import_path_loads_none_of_the_heavy_modules():
     assert after_import == []
     assert after_solve == []
     assert after_trace == ["hashlib"]
+
+
+def test_the_sampler_names_still_come_from_the_package():
+    for name in majorchain.__all__:
+        getattr(majorchain, name)
+    assert majorchain.GeneratorConfig is majorchain.generator.GeneratorConfig
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        majorchain.missing
 
 
 X = Factor("x")

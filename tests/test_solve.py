@@ -389,12 +389,17 @@ class TestDirectMassWindow:
 
 
 class TestLongSearches:
-    """Each search is a loop, so its depth is not bounded by the interpreter's recursion limit."""
+    """Each search is a loop, so its depth is not bounded by the interpreter's recursion limit.
+
+    On d = 1^n the splitting search costs n + |A| nodes: at each of the first
+    |A| positions the lower-mass cut rejects the value 0 at once.  The short
+    case shows a wrong cut in well under a second.
+    """
 
     @pytest.mark.parametrize(
         "n, a, b, nodes",
-        [(1500, 1500, 0, 1500), (2000, 1000, 1000, 3000)],
-        ids=["1500", "2000"],
+        [(10, 5, 5, 15), (1500, 1500, 0, 1500), (2000, 1000, 1000, 3000)],
+        ids=["10", "1500", "2000"],
     )
     def test_splitting_search_finds_a_long_instance(self, n, a, b, nodes):
         inst = lemma([((1,) * n, ())], (1,) * a, (1,) * b)

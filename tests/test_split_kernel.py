@@ -7,13 +7,16 @@ the default budget and at budget 7, and, for single-pair instances, the
 scaled search with w = 2 and 3.  Any change to the order, the pruning or the
 budget handling of the search changes the digest.
 
-The other tests check every shortfall row against a brute-force sum, that
-parts of 10**12 cost no set-up, and the recorded outcome, certificate and
-node count of every deep-corpus instance.
+The other tests check every search step and the shortfall it yields
+against brute-force sums, that the search's set-up allocates O(positions)
+however large or many the parts are, and the recorded outcome, certificate
+and node count of every deep-corpus instance.
 """
 
 import hashlib
 import random
+import tracemalloc
+from bisect import bisect_left
 from pathlib import Path
 
 from majorchain import (
@@ -127,14 +130,20 @@ def test_shortfall_rows_match_brute_force():
         ]
         assert [step[:2] for step in search.steps] == expected_steps
         gaps = [dv - tv for d, t in inst.pairs for dv, tv in zip(d.parts, t.pad(len(d)))]
-        for pos, (i, j, dj, tj, rest, short) in enumerate(search.steps):
+        tables = {}
+        for pos, (i, j, dj, tj, rest, neg_d, sums) in enumerate(search.steps):
             d, t = inst.pairs[i]
             assert (dj, tj, rest) == (d.parts[j], t.pad(len(d))[j], sum(gaps[pos + 1:]))
-            # Entries the search filled, then every value up to past d[0].
-            for v, value in list(short.items()):
-                assert value == brute_shortfall(d.parts, j, v)
+            assert neg_d == [-part for part in d.parts]
+            assert sums == [sum(d.parts[:r]) for r in range(len(d) + 1)]
+            # Every step of a pair shares the pair's two tables.
+            first = tables.setdefault(i, (neg_d, sums))
+            assert first[0] is neg_d and first[1] is sums
+            # The search's closed form, for every value up to past d[0].
             for v in range(d.parts[0] + 2):
-                assert short[v] == brute_shortfall(d.parts, j, v)
+                end = bisect_left(neg_d, -v, j + 1)
+                short = sums[end] - sums[j + 1] - (end - j - 1) * v
+                assert short == brute_shortfall(d.parts, j, v)
 
 
 def test_huge_parts_cost_no_set_up():
@@ -142,10 +151,18 @@ def test_huge_parts_cost_no_set_up():
     inst = LemmaInstance(
         ((Partition([big, big]), Partition([])),), Partition([big]), Partition([big])
     )
-    search = _SplitSearch(inst, 1)
-    outcome, _, nodes = search.run(1000)
+    outcome, _, nodes = _SplitSearch(inst, 1).run(1000)
     assert (outcome, nodes) == (ABORTED, 1000)
-    assert sum(len(step[-1]) for step in search.steps) <= nodes
+    # 5,000 positions: the set-up keeps one negated d and its prefix sums, not one per position.
+    units = Partition([1] * 5000)
+    inst = LemmaInstance(((units, Partition([])),), units, Partition([]))
+    tracemalloc.start()
+    try:
+        _SplitSearch(inst, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_deep_corpus_node_counts_are_the_recorded_ones():

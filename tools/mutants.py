@@ -1,11 +1,13 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each of the 35 mutants is one exact text edit to one file under ``src/``:
-a search cut or clamp dropped or tightened, one bound of the direct
-search's static window dropped, the splitting search's prefix table of A
-left unscaled, the splitting search's zero-position decision forced true,
-the splitting backtrack keeping the popped lower gap, the direct
-backtrack not restoring the mass, each verifier condition forced true, a
+Each of the 37 mutants is one exact text edit to one file under ``src/``:
+a search cut or clamp dropped or tightened, the splitting search's
+closed-form shortfall off by one part in its count or by one in its
+bisect's threshold, one bound of the direct search's static window
+dropped, the splitting search's prefix table of A left unscaled, the
+splitting search's zero-position decision forced true, the splitting
+backtrack keeping the popped lower gap, the direct backtrack not
+restoring the mass, each verifier condition forced true, a
 test of ``majorizes`` dropped, a condition of the CLI's contradiction
 tripwire dropped, an exception class no longer caught, the
 integer-argument rule made to accept bools, the records' equality narrowed
@@ -83,8 +85,20 @@ MUTANTS = (
     (
         "split-lower-mass-cut-dropped",
         SOLVE,
-        "            if ca2 + rest - short[value] < need_a:\n",
+        "            if ca2 + rest - (sums[end] - sums[j + 1] - (end - j - 1) * value) < need_a:\n",
         "            if False:\n",
+    ),
+    (
+        "split-shortfall-count-off-by-one",
+        SOLVE,
+        "(end - j - 1) * value",
+        "(end - j) * value",
+    ),
+    (
+        "split-shortfall-bisect-skips-parts-one-above",
+        SOLVE,
+        "bisect_left(neg_d, -value, j + 1)",
+        "bisect_left(neg_d, -value - 1, j + 1)",
     ),
     (
         "split-lower-prefix-cut-dropped",
