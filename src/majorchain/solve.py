@@ -25,6 +25,21 @@ scans against tables of floor(prefix/w), run inside C builtins (see
 ``_SplitSearch``); they decide what the scaled sums would, so node counts
 and traces do not depend on how checks are made.
 
+The splitting search remembers the sub-searches it has exhausted.
+Majorization sees only the multiset of gaps, not which pair gave which
+gap, and a pair's first part is bounded by nothing of the earlier pairs
+but the gaps they committed.  So once the search enters a pair's first
+part, what follows depends only on that position and on the sorted lower
+and upper gaps committed so far.  A memo maps each such state whose
+sub-search was exhausted to the nodes it spent; entering the state again
+charges those nodes and backtracks at once, or aborts with ``nodes`` equal
+to the budget when they would pass it, as the full re-search would.  Only
+exhausted sub-searches are stored, since one that finds a splitting or
+aborts ends the search.  Outcomes, certificates and node counts at every
+budget are therefore those of the search without the memo.  The memo is
+cleared when it would hold more than ``_MEMO_BYTES``, and a traced search
+keeps none, since its trace must list every node.
+
 The direct chain search also clamps each position's window by mass: every
 solution has sum deg*|beta_f| == |c+| + sum deg*|alpha_f|, because under the
 inner sandwich |sigma(alpha, beta)| = sum deg*(|beta_f| - |alpha_f|) and
@@ -66,6 +81,10 @@ NO_SOLUTION = "none"
 ABORTED = "aborted"
 
 DEFAULT_BUDGET = 1_000_000
+
+# Bytes the splitting search's memo may hold, counting each key's length plus about 100 bytes of
+# dict slot, header and node count per entry; past them the memo is cleared and the search goes on.
+_MEMO_BYTES = 4 << 20
 
 
 class SolveReport(_Value, fields=("outcome", "certificate", "nodes", "budget", "space_size")):
@@ -134,8 +153,11 @@ class _SplitSearch:
     search with no positions has no cuts, and ``run`` decides it before the
     loop.
 
-    Each value tried costs one node and at most four checks, each O(1)
-    Python work or one pass inside C builtins:
+    A value tried costs one node and at most four checks, each O(1) Python
+    work or one pass inside C builtins.  Entering a pair's first part in a
+    state the memo holds (see the module docstring) charges the nodes of
+    that whole exhausted sub-search at once, and tries no value there.  The
+    checks:
 
     * upper mass: cb + (d[j] - v) plus ``rest``, the gap total of all later
       positions, must reach ceil(|B|/w);
@@ -194,6 +216,12 @@ class _SplitSearch:
         assigned = [list(t) for t in self.floors]
         lower_gaps: list[int] = []  # committed gaps, ascending
         upper_gaps: list[int] = []
+        # One memo per pair: key of the gaps committed before its first part -> nodes its
+        # exhausted sub-search spent.  Both lists are made when the search first enters a pair
+        # past the root, which is entered once.  A traced search must feed every node, so it
+        # keeps no memo.
+        memo = opened = None  # opened: (key, nodes before it) of each first part being searched
+        held = 0  # bytes charged to the memo
         # One frame per committed position: its value, window top, ca and cb before it, and gaps.
         stack = []
         nodes = pos_idx = ca = cb = 0
@@ -212,10 +240,38 @@ class _SplitSearch:
                 value = dj - (limit_b - cb)
                 if value < tj:
                     value = tj
+                if not j and pos_idx and trace is None:
+                    if memo is None:
+                        memo = [{} for _ in assigned]
+                        opened = [None] * num_positions
+                    try:
+                        key = bytes([*lower_gaps, 0, *upper_gaps])  # a committed gap is never 0
+                    except ValueError:  # a gap of 256 or more
+                        key = f"{lower_gaps}{upper_gaps}"
+                    spent = memo[i].get(key)
+                    if spent is None:
+                        opened[pos_idx] = key, nodes
+                    else:
+                        # Exhausted before: charge its nodes, as re-searching it would.
+                        if nodes + spent > cap:
+                            return ABORTED, None, cap
+                        nodes += spent
+                        opened[pos_idx] = None
+                        value = hi + 1
             if value > hi:
                 # The window is exhausted: undo the previous position and try its next value.
                 if not stack:
                     return NO_SOLUTION, None, nodes
+                entry = opened and opened[pos_idx]
+                if entry:
+                    key, start = entry
+                    cost = len(key) + 100  # see _MEMO_BYTES
+                    if held + cost > _MEMO_BYTES:
+                        for seen in memo:
+                            seen.clear()
+                        held = 0
+                    held += cost
+                    memo[i][key] = nodes - start
                 value, hi, ca, cb, gap_lower, gap_upper = stack.pop()
                 if gap_lower:
                     lower_gaps.remove(gap_lower)
@@ -454,6 +510,8 @@ def search_trace_hash(inst: LemmaInstance, budget: int = DEFAULT_BUDGET) -> str:
 
     Reruns the (deterministic) search for its trace alone, unverified; used
     when serializing a tripwire report so the exact explored tree is pinned.
+    The traced search keeps no memo, so it explores and hashes every node
+    that the reported node count counts.
     """
     import hashlib  # only this trace needs it, and it is costly to load
 

@@ -10,7 +10,9 @@ budget handling of the search changes the digest.
 The other tests check every search step and the shortfall it yields
 against brute-force sums, that the search's set-up allocates O(positions)
 however large or many the parts are, and the recorded outcome, certificate
-and node count of every deep-corpus instance.
+and node count of every deep-corpus instance.  The memo of exhausted
+sub-searches must keep node counts exact at every budget, also when it is
+cleared at its memory bound, and keep to that bound.
 """
 
 import hashlib
@@ -30,6 +32,7 @@ from majorchain import (
     solve_lemma,
     solve_scaled_k1,
 )
+from majorchain import solve
 from majorchain.solve import _SplitSearch
 
 BUDGETS = (0, 1, 2, 5, 50, 10**6)
@@ -177,3 +180,105 @@ def test_deep_corpus_node_counts_are_the_recorded_ones():
             record["certificate"],
             record["nodes"],
         ), f"corpus instance {index}"
+
+
+def corpus_records():
+    corpus = Path(__file__).resolve().parents[1] / "bench" / "deep_corpus.json"
+    return jsonio.load_json(corpus.read_text(encoding="utf-8"))["instances"]
+
+
+def test_a_memo_hit_charges_the_budget_exactly():
+    # The search ends right after a memo hit that spends the last of the budget.
+    inst = LemmaInstance(
+        (
+            (Partition([3, 1]), Partition([1])),
+            (Partition([]), Partition([])),
+            (Partition([3, 2]), Partition([1, 1])),
+            (Partition([1]), Partition([])),
+        ),
+        Partition([2]),
+        Partition([3, 1]),
+    )
+    for budget, expected in ((10**6, ("none", 22)), (22, ("none", 22)), (21, ("aborted", 21))):
+        report = solve_lemma(inst, budget=budget)
+        assert (report.outcome, report.nodes) == expected, budget
+
+
+def test_gaps_past_a_byte_change_no_report():
+    # A first pair d = (300) commits an upper gap of 256 or more, which a bytes key cannot hold,
+    # so the memo keys by text.  The traced search keeps no memo, so it is the reference.
+    rng = random.Random(11)
+    for _ in range(200):
+        inst = random_instance(rng)
+        wide = LemmaInstance(
+            ((Partition([300]), Partition([])), *inst.pairs),
+            inst.A,
+            Partition([300, *inst.B.parts]),
+        )
+        for budget in (50, 10**6):
+            report = solve_lemma(wide, budget=budget)
+            reference = _SplitSearch(wide, 1, hashlib.sha256()).run(budget)
+            assert (report.outcome, report.certificate, report.nodes) == reference
+
+
+def test_corpus_budget_sweep_is_exact():
+    rng = random.Random(20261019)
+    records = corpus_records()
+    for record in rng.sample(records, 3):
+        inst = jsonio.parse_lemma_instance(record["instance"])
+        n = record["nodes"]
+        for budget in sorted({0, 1, n - 1, n, n + 1, *rng.sample(range(n), 4)}):
+            report = solve_lemma(inst, budget=budget)
+            if budget < n:
+                assert (report.outcome, report.nodes) == (ABORTED, budget)
+            else:
+                certificate = report.certificate and [list(f.parts) for f in report.certificate.fs]
+                assert (report.outcome, certificate, report.nodes) == (
+                    record["outcome"],
+                    record["certificate"],
+                    n,
+                ), budget
+
+
+def test_a_memo_cleared_at_its_bound_keeps_every_corpus_count(monkeypatch):
+    monkeypatch.setattr(solve, "_MEMO_BYTES", 1024)
+    for index, record in enumerate(corpus_records()):
+        report = solve_lemma(jsonio.parse_lemma_instance(record["instance"]))
+        certificate = report.certificate and [list(f.parts) for f in report.certificate.fs]
+        assert (report.outcome, certificate, report.nodes) == (
+            record["outcome"],
+            record["certificate"],
+            record["nodes"],
+        ), f"corpus instance {index}"
+
+
+def traced_peak(inst, budget):
+    tracemalloc.start()
+    try:
+        report = solve_lemma(inst, budget=budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report_record(report), peak
+
+
+def test_the_memo_keeps_to_its_memory_bound(monkeypatch):
+    # 120 single-part pairs; A and B pool a splitting but for one unit moved from B to A.
+    ds = [1 + i % 4 for i in range(120)]
+    lower = [(7 * i) % (d + 1) for i, d in enumerate(ds)]
+    A = sorted((g for g in lower if g), reverse=True)
+    B = sorted((d - g for d, g in zip(ds, lower) if d - g), reverse=True)
+    A[0] += 1
+    B[-1] -= 1
+    inst = LemmaInstance(
+        tuple((Partition([d]), Partition([])) for d in ds), Partition(A), Partition(B)
+    )
+    bound = 128 * 2**10
+    # The search's own tables and stack, and the entry stored after a clear.
+    margin = 64 * 2**10
+    unbounded, unbounded_peak = traced_peak(inst, 100_000)
+    assert unbounded_peak > bound + margin  # so the bound below is what holds the peak down
+    monkeypatch.setattr(solve, "_MEMO_BYTES", bound)
+    bounded, bounded_peak = traced_peak(inst, 100_000)
+    assert bounded == unbounded
+    assert bounded_peak < bound + margin

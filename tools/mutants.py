@@ -1,12 +1,14 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each of the 37 mutants is one exact text edit to one file under ``src/``:
+Each of the 41 mutants is one exact text edit to one file under ``src/``:
 a search cut or clamp dropped or tightened, the splitting search's
 closed-form shortfall off by one part in its count or by one in its
 bisect's threshold, one bound of the direct search's static window
 dropped, the splitting search's prefix table of A left unscaled, the
 splitting search's zero-position decision forced true, the splitting
-backtrack keeping the popped lower gap, the direct backtrack not
+backtrack keeping the popped lower gap, the splitting search's memo keyed
+without the upper gaps, kept while tracing, charging one node less per hit
+or aborting when a hit meets the budget exactly, the direct backtrack not
 restoring the mass, each verifier condition forced true, a
 test of ``majorizes`` dropped, a condition of the CLI's contradiction
 tripwire dropped, an exception class no longer caught, the
@@ -145,6 +147,30 @@ MUTANTS = (
         SOLVE,
         "                if gap_lower:\n                    lower_gaps.remove(gap_lower)\n",
         "",
+    ),
+    (
+        "split-memo-key-drops-upper-gaps",
+        SOLVE,
+        "bytes([*lower_gaps, 0, *upper_gaps])",
+        "bytes([*lower_gaps, 0])",
+    ),
+    (
+        "split-memo-hit-aborts-at-the-budget",
+        SOLVE,
+        "if nodes + spent > cap:",
+        "if nodes + spent >= cap:",
+    ),
+    (
+        "split-memo-on-while-tracing",
+        SOLVE,
+        "if not j and pos_idx and trace is None:",
+        "if not j and pos_idx:",
+    ),
+    (
+        "split-memo-hit-charges-one-node-less",
+        SOLVE,
+        "                        nodes += spent\n",
+        "                        nodes += spent - 1\n",
     ),
     (
         "chain-top-clamp-dropped",
