@@ -302,9 +302,10 @@ def write_contradiction_report(inst: LemmaInstance, report: SolveReport, directo
     """Serialize a premise-satisfying NoSolution as a bug-report artifact.
 
     That verdict contradicts the existence statement the solver certifies,
-    so it is recorded with the instance and a hash of the full search trace
-    for reproduction.  ``directory`` is a string or path object; returns the
-    :class:`pathlib.Path` written.
+    so it is recorded with the instance and a hash of the search's trace
+    (its nodes and memo hits) for reproduction; rerunning the search for
+    that hash costs what the solve cost.  ``directory`` is a string or path
+    object; returns the :class:`pathlib.Path` written.
     """
     from pathlib import Path  # only this rare path needs it
 

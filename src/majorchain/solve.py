@@ -36,9 +36,10 @@ charges those nodes and backtracks at once, or aborts with ``nodes`` equal
 to the budget when they would pass it, as the full re-search would.  Only
 exhausted sub-searches are stored, since one that finds a splitting or
 aborts ends the search.  Outcomes, certificates and node counts at every
-budget are therefore those of the search without the memo.  The memo is
-cleared when it would hold more than ``_MEMO_BYTES``, and a traced search
-keeps none, since its trace must list every node.
+budget are therefore those of the search without the memo.  Past
+``_MEMO_BYTES`` whole pair memos are cleared, deepest pair first, down to
+half of it, since the states nearest the root save the most.  A trace lists
+the nodes tried and the memo hits, so its hash depends on this policy.
 
 The direct chain search also clamps each position's window by mass: every
 solution has sum deg*|beta_f| == |c+| + sum deg*|alpha_f|, because under the
@@ -83,7 +84,7 @@ ABORTED = "aborted"
 DEFAULT_BUDGET = 1_000_000
 
 # Bytes the splitting search's memo may hold, counting each key's length plus about 100 bytes of
-# dict slot, header and node count per entry; past them the memo is cleared and the search goes on.
+# dict slot, header and node count per entry; past them the deepest pairs' memos are cleared.
 _MEMO_BYTES = 4 << 20
 
 
@@ -179,7 +180,8 @@ class _SplitSearch:
       (and cb <= |B|//w).  Both run as ``all(map(le, accumulate(...), pre))``.
 
     :func:`search_trace_hash` passes a ``trace`` (a hashlib object), and
-    ``run`` feeds it ``b"<position>:<value>;"`` for every node.
+    ``run`` feeds it ``b"<position>:<value>;"`` for every node and
+    ``b"<position>=<charged nodes>;"`` for every memo hit it charges.
     """
 
     def __init__(self, inst: LemmaInstance, w: int, trace=None):
@@ -217,10 +219,9 @@ class _SplitSearch:
         lower_gaps: list[int] = []  # committed gaps, ascending
         upper_gaps: list[int] = []
         # One memo per pair: key of the gaps committed before its first part -> nodes its
-        # exhausted sub-search spent.  Both lists are made when the search first enters a pair
-        # past the root, which is entered once.  A traced search must feed every node, so it
-        # keeps no memo.
-        memo = opened = None  # opened: (key, nodes before it) of each first part being searched
+        # exhausted sub-search spent.
+        memo = [{} for _ in assigned]
+        opened = [None] * num_positions  # (key, nodes before it) of each first part being searched
         held = 0  # bytes charged to the memo
         # One frame per committed position: its value, window top, ca and cb before it, and gaps.
         stack = []
@@ -240,10 +241,7 @@ class _SplitSearch:
                 value = dj - (limit_b - cb)
                 if value < tj:
                     value = tj
-                if not j and pos_idx and trace is None:
-                    if memo is None:
-                        memo = [{} for _ in assigned]
-                        opened = [None] * num_positions
+                if not j and pos_idx:
                     try:
                         key = bytes([*lower_gaps, 0, *upper_gaps])  # a committed gap is never 0
                     except ValueError:  # a gap of 256 or more
@@ -256,22 +254,25 @@ class _SplitSearch:
                         if nodes + spent > cap:
                             return ABORTED, None, cap
                         nodes += spent
+                        if trace is not None:
+                            trace.update(b"%d=%d;" % (pos_idx, spent))
                         opened[pos_idx] = None
                         value = hi + 1
             if value > hi:
                 # The window is exhausted: undo the previous position and try its next value.
                 if not stack:
                     return NO_SOLUTION, None, nodes
-                entry = opened and opened[pos_idx]
+                entry = opened[pos_idx]
                 if entry:
                     key, start = entry
-                    cost = len(key) + 100  # see _MEMO_BYTES
-                    if held + cost > _MEMO_BYTES:
-                        for seen in memo:
-                            seen.clear()
-                        held = 0
-                    held += cost
                     memo[i][key] = nodes - start
+                    held += len(key) + 100  # see _MEMO_BYTES
+                    if held > _MEMO_BYTES:
+                        for seen in reversed(memo):
+                            held -= sum(map(len, seen)) + 100 * len(seen)
+                            seen.clear()
+                            if held <= _MEMO_BYTES // 2:
+                                break
                 value, hi, ca, cb, gap_lower, gap_upper = stack.pop()
                 if gap_lower:
                     lower_gaps.remove(gap_lower)
@@ -510,8 +511,8 @@ def search_trace_hash(inst: LemmaInstance, budget: int = DEFAULT_BUDGET) -> str:
 
     Reruns the (deterministic) search for its trace alone, unverified; used
     when serializing a tripwire report so the exact explored tree is pinned.
-    The traced search keeps no memo, so it explores and hashes every node
-    that the reported node count counts.
+    It is the search that solved, memo included, so it costs what the solve
+    cost; each memo hit stands in the trace for the sub-search it charges.
     """
     import hashlib  # only this trace needs it, and it is costly to load
 

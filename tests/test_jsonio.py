@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from majorchain import (
@@ -7,8 +9,10 @@ from majorchain import (
     GeneratorConfig,
     InputError,
     InstanceGenerator,
+    LemmaInstance,
     Partition,
     PolyChain,
+    search_trace_hash,
     solve_lemma,
     solve_theorem,
 )
@@ -179,3 +183,18 @@ class TestContradictionArtifact:
         assert jsonio.parse_lemma_instance(payload["instance"]) == inst
         assert jsonio.parse_solve_report(payload["report"]) == report
         assert len(payload["trace_sha256"]) == 64
+
+    def test_the_trace_costs_what_the_solve_cost(self):
+        # 60 single-part pairs, premise true: the solve charges most of its nodes from the memo.
+        # A trace that re-searched them would take seconds at budget 10**6 and about 400 days
+        # at 10**13, where the solve finds a splitting.
+        inst = LemmaInstance(
+            tuple((Partition([2]), Partition([])) for _ in range(60)),
+            Partition([1] * 59),
+            Partition([2] * 30 + [1]),
+        )
+        start = time.process_time()
+        search_trace_hash(inst, budget=10**6)
+        assert time.process_time() - start < 1
+        assert solve_lemma(inst, budget=10**13).found
+        assert len(search_trace_hash(inst, budget=10**13)) == 64

@@ -127,6 +127,20 @@ def lower_prefix_cut_instance():
     )
 
 
+def memo_hit_instance():
+    # The 22-node instance whose last memo hit meets a budget of 22 exactly.
+    return LemmaInstance(
+        (
+            (Partition([3, 1]), Partition([1])),
+            (Partition([]), Partition([])),
+            (Partition([3, 2]), Partition([1, 1])),
+            (Partition([1]), Partition([])),
+        ),
+        Partition([2]),
+        Partition([3, 1]),
+    )
+
+
 class TestOneDescent:
     """Node counts, traces and zero-position solves that the single descent keeps."""
 
@@ -142,6 +156,31 @@ class TestOneDescent:
         report = solve_lemma(inst)
         assert report.outcome == "none" and report.nodes == 2
         assert search_trace_hash(inst) == hashlib.sha256(trace).hexdigest()
+
+    @pytest.mark.parametrize(
+        "budget, trace",
+        [
+            (
+                10**6,
+                b"0:1;1:0;2:2;3:2;2:3;3:1;1:1;2:1;2:2;3:1;4=0;"
+                b"0:2;1:0;2:1;2:2;3:1;1:1;2:1;3:1;4=0;"
+                b"0:3;1:0;2:1;3:1;4=0;",
+            ),
+            (
+                21,
+                b"0:1;1:0;2:2;3:2;2:3;3:1;1:1;2:1;2:2;3:1;4=0;"
+                b"0:2;1:0;2:1;2:2;3:1;1:1;2:1;3:1;4=0;"
+                b"0:3;1:0;2:1;",
+            ),
+        ],
+        ids=["whole", "aborted"],
+    )
+    def test_a_memo_hit_costs_one_trace_entry(self, budget, trace):
+        # Position 4 opens the last pair.  Its first visit tries no value, and each later visit
+        # in the same state is a memo hit charging 0 nodes: one "4=0;" entry each.
+        report = solve_lemma(memo_hit_instance(), budget=budget)
+        assert report.nodes == trace.count(b":")
+        assert search_trace_hash(memo_hit_instance(), budget) == hashlib.sha256(trace).hexdigest()
 
     @pytest.mark.parametrize(
         "budget, outcome, nodes",

@@ -1,14 +1,15 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each of the 41 mutants is one exact text edit to one file under ``src/``:
+Each of the 43 mutants is one exact text edit to one file under ``src/``:
 a search cut or clamp dropped or tightened, the splitting search's
 closed-form shortfall off by one part in its count or by one in its
 bisect's threshold, one bound of the direct search's static window
 dropped, the splitting search's prefix table of A left unscaled, the
 splitting search's zero-position decision forced true, the splitting
 backtrack keeping the popped lower gap, the splitting search's memo keyed
-without the upper gaps, kept while tracing, charging one node less per hit
-or aborting when a hit meets the budget exactly, the direct backtrack not
+without the upper gaps (as bytes or as text), charging one node less per
+hit, aborting when a hit meets the budget exactly, left out of the trace
+or cleared from the root pair down, the direct backtrack not
 restoring the mass, each verifier condition forced true, a
 test of ``majorizes`` dropped, a condition of the CLI's contradiction
 tripwire dropped, an exception class no longer caught, the
@@ -161,10 +162,23 @@ MUTANTS = (
         "if nodes + spent >= cap:",
     ),
     (
-        "split-memo-on-while-tracing",
+        "split-memo-text-key-drops-upper-gaps",
         SOLVE,
-        "if not j and pos_idx and trace is None:",
-        "if not j and pos_idx:",
+        'key = f"{lower_gaps}{upper_gaps}"',
+        'key = f"{lower_gaps}"',
+    ),
+    (
+        "split-trace-skips-memo-hit",
+        SOLVE,
+        '                        if trace is not None:\n'
+        '                            trace.update(b"%d=%d;" % (pos_idx, spent))\n',
+        "",
+    ),
+    (
+        "split-memo-evicts-from-the-root",
+        SOLVE,
+        "for seen in reversed(memo):",
+        "for seen in memo:",
     ),
     (
         "split-memo-hit-charges-one-node-less",
