@@ -28,18 +28,31 @@ and traces do not depend on how checks are made.
 The splitting search remembers the sub-searches it has exhausted.
 Majorization sees only the multiset of gaps, not which pair gave which
 gap, and a pair's first part is bounded by nothing of the earlier pairs
-but the gaps they committed.  So once the search enters a pair's first
-part, what follows depends only on that position and on the sorted lower
-and upper gaps committed so far.  A memo maps each such state whose
-sub-search was exhausted to the nodes it spent; entering the state again
+but the gap totals ca and cb.  A later gap meets the committed lower gaps
+L only through the top-r sums they leave free.  With P(r) A's r-th prefix
+sum floor-divided by w, let R(j) be the least of |A|//w - ca and of
+P(k + j) - top_k(L) over k <= |L| with k + j <= len(A).  If L passes its
+own prefix checks, L plus later gaps X passes every later check exactly
+when top_j(X) <= R(j) for every j.  The cap changes no verdict, since the
+window clamp keeps every later gap total within |A|//w - ca; ranks past
+len(A) are never checked, and X has no more parts than positions to come,
+so R is kept up to the smaller of the two.  R never decreases, and it
+ends where it reaches its cap.  The upper side is the same against B and
+cb.  So once the search enters a pair's first part, what follows depends
+only on that position, on ca and cb, and on the two residual bounds; cb is
+fixed by ca there, since each position's two gaps add up to d[j] - t[j].
+A memo maps each such state whose sub-search was exhausted to the nodes it
+spent; entering a state with the same position, ca and bounds again
 charges those nodes and backtracks at once, or aborts with ``nodes`` equal
 to the budget when they would pass it, as the full re-search would.  Only
 exhausted sub-searches are stored, since one that finds a splitting or
 aborts ends the search.  Outcomes, certificates and node counts at every
 budget are therefore those of the search without the memo.  Past
-``_MEMO_BYTES`` whole pair memos are cleared, deepest pair first, down to
-half of it, since the states nearest the root save the most.  A trace lists
-the nodes tried and the memo hits, so its hash depends on this policy.
+``_MEMO_BYTES`` the caches that make keys cheap are dropped first (see
+``_Memo``), and then whole pair memos are cleared, deepest pair first, down
+to half of it, since the states nearest the root save the most.  A trace
+lists the nodes tried and the memo hits, so its hash depends on this
+policy.
 
 The direct chain search also clamps each position's window by mass: every
 solution has sum deg*|beta_f| == |c+| + sum deg*|alpha_f|, because under the
@@ -83,15 +96,19 @@ ABORTED = "aborted"
 
 DEFAULT_BUDGET = 1_000_000
 
-# Bytes the splitting search's memo may hold, counting each key's length plus about 100 bytes of
-# dict slot, header and node count per entry; past them the deepest pairs' memos are cleared.
+# Bytes the splitting search's memo may hold, counting each entry's lengths plus about 100 bytes
+# of dict slot and headers (see _Memo); past them its caches and the deepest pairs' memos go.
 _MEMO_BYTES = 4 << 20
 
 
 class SolveReport(_Value, fields=("outcome", "certificate", "nodes", "budget", "space_size")):
     """Outcome of one search.
 
-    ``nodes`` counts candidate assignments actually tried; ``space_size``
+    ``nodes`` is the node count of the search without the splitting
+    search's memo: one per candidate value tried, where a memo hit charges
+    the nodes of the exhausted sub-search it stands for, so the values
+    actually tried can be far fewer (on the deep corpus, 799,140 for
+    3,492,292 counted nodes).  ``budget`` caps that count.  ``space_size``
     is the raw number of value combinations in the unpruned search box,
     recorded so aborted reports still convey how large the task was.
     """
@@ -137,6 +154,139 @@ def _sums_after(values) -> list[int]:
     sums = list(accumulate(reversed(values), initial=0))
     sums.reverse()
     return sums[1:]
+
+
+def _compose(bounds, gaps, width, room):
+    """Residual bounds R'(1..width) of a state once ``gaps`` are committed to one with ``bounds``.
+
+    With g the committed gaps, nonzero and descending, R'(j) = min(room, R(j),
+    R(j+1) - g1, R(j+2) - g1 - g2, ...).  Bounds are non-decreasing and end where they would
+    reach the state's room; the ranks past their end are at least that room, so each such
+    term is at least ``room`` and the result ends no later than ``bounds``.
+    """
+    out = [bound if bound < room else room for bound in bounds[:width]]
+    shift = drop = 0
+    for gap in gaps:
+        shift += 1
+        drop += gap
+        j = 0
+        for bound in bounds[shift : shift + width]:
+            bound -= drop
+            if bound < out[j]:
+                out[j] = bound
+            j += 1
+    while out and out[-1] == room:
+        out.pop()
+    return out
+
+
+class _Memo:
+    """Exhausted sub-searches of one splitting search, keyed by the state at a pair's first part.
+
+    ``entries[i]`` maps the key of a state at pair i's first part to the nodes its exhausted
+    sub-search spent.  The key holds ca and the lower and upper residual bounds (see the
+    module docstring).  A key is made only where it is looked up, in a pair whose memo holds
+    an entry, or stored.  A side's bounds depend only on that side's committed gaps, so
+    ``caches[i]`` maps pair i's committed lower (upper) gaps to their bounds.  A miss composes
+    them from the bounds of the nearest earlier first part on the current path whose bounds
+    are ``known`` (A's and B's prefix tables before the first pair) and the gaps committed
+    since, which the stack frames hold; ``look_up`` forgets ``known[i]`` as the search enters
+    pair i.  Composing costs O(bounds * gaps) where computing afresh would cost
+    O(bounds * committed gaps).
+
+    Gaps, bounds and keys are ``bytes`` while |A|//w, |B|//w and len(A), which bound every
+    value and the lower bounds' length, fit in a byte, and tuples otherwise.  Each entry is
+    charged its lengths times ``unit`` (1 for bytes, 32 for a tuple's pointer and int) plus
+    100 bytes of dict slot and headers.  Past ``_MEMO_BYTES`` every cache is dropped, since
+    it only saves time, and if more than half of it is still held, whole pairs' entries are
+    cleared, deepest pair first, down to half of it, since the states nearest the root save
+    the most.
+    """
+
+    def __init__(self, search):
+        self.search = search
+        pairs = len(search.floors)
+        self.first = [0] * pairs  # position of each pair's first part
+        for pos, step in enumerate(search.steps):
+            if not step[1]:
+                self.first[step[0]] = pos
+        self.entries = [{} for _ in range(pairs)]
+        self.known = [None] * pairs
+        self.caches = [None] * pairs
+        self.charged = [0] * pairs  # bytes of each pair's entries
+        self.cached = 0  # bytes of all the caches
+        self.held = 0
+        narrow = max(search.limit_a, search.limit_b, len(search.pre_a)) < 256
+        self.pack, self.unit = (bytes, 1) if narrow else (tuple, 32)
+
+    def look_up(self, i, pos, ca, cb, lower_gaps, upper_gaps, stack):
+        """Key and stored nodes of the state entering pair i, or Nones where its pair has none."""
+        self.known[i] = None
+        if not self.entries[i]:
+            return None, None
+        key = self.key(i, pos, ca, cb, lower_gaps, upper_gaps, stack)
+        return key, self.entries[i].get(key)
+
+    def key(self, i, pos, ca, cb, lower_gaps, upper_gaps, stack):
+        """Key of the state at pair i's first part, at position ``pos``; sets ``known[i]``."""
+        search, pack, known = self.search, self.pack, self.known
+        caches = self.caches[i]
+        if caches is None:
+            caches = self.caches[i] = {}, {}
+        lower_cache, upper_cache = caches
+        lower_key = pack(lower_gaps)
+        upper_key = pack(upper_gaps)
+        lower = lower_cache.get(lower_key)
+        upper = upper_cache.get(upper_key)
+        if lower is None or upper is None:
+            back = i - 1
+            while back >= 0 and known[back] is None:
+                back -= 1
+            if back < 0:
+                lower_base, upper_base, frames = search.pre_a, search.pre_b, stack
+            else:
+                (lower_base, upper_base), frames = known[back], stack[self.first[back] :]
+            later = len(search.steps) - pos
+            size = 0
+            if lower is None:
+                gaps = sorted([frame[4] for frame in frames if frame[4]], reverse=True)
+                width = min(later, len(search.pre_a))
+                lower = pack(_compose(lower_base, gaps, width, search.limit_a - ca))
+                lower_cache[lower_key] = lower
+                size += self.unit * (len(lower_key) + len(lower)) + 100
+            if upper is None:
+                gaps = sorted([frame[5] for frame in frames if frame[5]], reverse=True)
+                width = min(later, len(search.pre_b))
+                upper = pack(_compose(upper_base, gaps, width, search.limit_b - cb))
+                upper_cache[upper_key] = upper
+                size += self.unit * (len(upper_key) + len(upper)) + 100
+            self.cached += size
+            self._charge(size)
+        known[i] = lower, upper
+        if pack is bytes:
+            return b"%c%c%b%b" % (ca, len(lower), lower, upper)
+        return (ca, len(lower), *lower, *upper)
+
+    def store(self, i, key, spent: int) -> None:
+        self.entries[i][key] = spent
+        size = self.unit * len(key) + 100
+        self.charged[i] += size
+        self._charge(size)
+
+    def _charge(self, size: int) -> None:
+        self.held += size
+        if self.held > _MEMO_BYTES:
+            self.held -= self.cached
+            self.cached = 0
+            self.caches = [None] * len(self.caches)
+            if self.held <= _MEMO_BYTES // 2:
+                return
+            for k in reversed(range(len(self.entries))):
+                self.held -= self.charged[k]
+                self.charged[k] = 0
+                self.entries[k].clear()
+                if self.held <= _MEMO_BYTES // 2:
+                    break
 
 
 class _SplitSearch:
@@ -194,6 +344,7 @@ class _SplitSearch:
         self.total_b = weight(inst.B)
         self.pre_a = [prefix // w for prefix in accumulate(inst.A.parts)]
         self.pre_b = [prefix // w for prefix in accumulate(inst.B.parts)]
+        self.limit_a, self.limit_b = self.total_a // w, self.total_b // w
         gaps = [dv - tv for d, t in pairs for dv, tv in zip(d, t)]
         self.space_size = prod(gap + 1 for gap in gaps)
         rest_after = _sums_after(gaps)
@@ -212,17 +363,14 @@ class _SplitSearch:
         steps = self.steps
         num_positions = len(steps)
         total_a, total_b = self.total_a, self.total_b
-        limit_a, limit_b = total_a // w, total_b // w
+        limit_a, limit_b = self.limit_a, self.limit_b
         need_a, need_b = -(-total_a // w), -(-total_b // w)
         pre_a, pre_b = self.pre_a, self.pre_b
         assigned = [list(t) for t in self.floors]
         lower_gaps: list[int] = []  # committed gaps, ascending
         upper_gaps: list[int] = []
-        # One memo per pair: key of the gaps committed before its first part -> nodes its
-        # exhausted sub-search spent.
-        memo = [{} for _ in assigned]
+        memo = None  # made at the first store, since nothing can be looked up before it
         opened = [None] * num_positions  # (key, nodes before it) of each first part being searched
-        held = 0  # bytes charged to the memo
         # One frame per committed position: its value, window top, ca and cb before it, and gaps.
         stack = []
         nodes = pos_idx = ca = cb = 0
@@ -242,11 +390,9 @@ class _SplitSearch:
                 if value < tj:
                     value = tj
                 if not j and pos_idx:
-                    try:
-                        key = bytes([*lower_gaps, 0, *upper_gaps])  # a committed gap is never 0
-                    except ValueError:  # a gap of 256 or more
-                        key = f"{lower_gaps}{upper_gaps}"
-                    spent = memo[i].get(key)
+                    key = spent = None
+                    if memo is not None:
+                        key, spent = memo.look_up(i, pos_idx, ca, cb, lower_gaps, upper_gaps, stack)
                     if spent is None:
                         opened[pos_idx] = key, nodes
                     else:
@@ -265,14 +411,11 @@ class _SplitSearch:
                 entry = opened[pos_idx]
                 if entry:
                     key, start = entry
-                    memo[i][key] = nodes - start
-                    held += len(key) + 100  # see _MEMO_BYTES
-                    if held > _MEMO_BYTES:
-                        for seen in reversed(memo):
-                            held -= sum(map(len, seen)) + 100 * len(seen)
-                            seen.clear()
-                            if held <= _MEMO_BYTES // 2:
-                                break
+                    if memo is None:
+                        memo = _Memo(self)
+                    if key is None:
+                        key = memo.key(i, pos_idx, ca, cb, lower_gaps, upper_gaps, stack)
+                    memo.store(i, key, nodes - start)
                 value, hi, ca, cb, gap_lower, gap_upper = stack.pop()
                 if gap_lower:
                     lower_gaps.remove(gap_lower)

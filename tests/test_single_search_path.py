@@ -162,24 +162,32 @@ class TestOneDescent:
         [
             (
                 10**6,
-                b"0:1;1:0;2:2;3:2;2:3;3:1;1:1;2:1;2:2;3:1;4=0;"
-                b"0:2;1:0;2:1;2:2;3:1;1:1;2:1;3:1;4=0;"
-                b"0:3;1:0;2:1;3:1;4=0;",
+                b"0:1;1:0;2:2;3:2;2:3;3:1;4=0;1:1;2:1;2:2;3:1;4=0;"
+                b"0:2;1:0;2=3;1:1;2:1;3:1;4=0;"
+                b"0:3;1:0;2=2;",
             ),
             (
                 21,
-                b"0:1;1:0;2:2;3:2;2:3;3:1;1:1;2:1;2:2;3:1;4=0;"
-                b"0:2;1:0;2:1;2:2;3:1;1:1;2:1;3:1;4=0;"
-                b"0:3;1:0;2:1;",
+                b"0:1;1:0;2:2;3:2;2:3;3:1;4=0;1:1;2:1;2:2;3:1;4=0;"
+                b"0:2;1:0;2=3;1:1;2:1;3:1;4=0;"
+                b"0:3;1:0;",
             ),
         ],
         ids=["whole", "aborted"],
     )
     def test_a_memo_hit_costs_one_trace_entry(self, budget, trace):
-        # Position 4 opens the last pair.  Its first visit tries no value, and each later visit
-        # in the same state is a memo hit charging 0 nodes: one "4=0;" entry each.
+        # Positions 2 and 4 open the third and fourth pairs.  A state with the totals and
+        # residual bounds of one whose sub-search was exhausted is a memo hit: one
+        # "<position>=<charged nodes>;" entry.  Some hits meet different committed gaps, as
+        # "4=0;" after 2:3;3:1 does.  At budget 21 the last hit, "2=2;", would pass the
+        # budget, so the search aborts without its entry.
         report = solve_lemma(memo_hit_instance(), budget=budget)
-        assert report.nodes == trace.count(b":")
+        entries = trace.split(b";")[:-1]
+        counted = sum(int(entry.partition(b"=")[2] or 1) for entry in entries)
+        if report.outcome == "aborted":
+            assert report.nodes == budget > counted
+        else:
+            assert report.nodes == counted
         assert search_trace_hash(memo_hit_instance(), budget) == hashlib.sha256(trace).hexdigest()
 
     @pytest.mark.parametrize(

@@ -11,9 +11,12 @@ The other tests check every search step and the shortfall it yields
 against brute-force sums, that the search's set-up allocates O(positions)
 however large or many the parts are, and the recorded outcome, certificate
 and node count of every deep-corpus instance.  The memo of exhausted
-sub-searches must keep node counts exact at every budget, also when it is
-cleared at its memory bound, and keep to that bound; clearing drops the
-deepest pairs' memos first, so a search that fills it often stays fast.
+sub-searches must keep reports exact at every budget, against a search
+whose memo never hits, also when it is cleared at its memory bound, and
+keep to that bound; clearing drops the deepest pairs' memos first, so a
+search that fills it often stays fast.  Its key is the position, the lower
+gap total and each side's residual bounds, so states whose committed gaps
+differ can share one entry.
 """
 
 import hashlib
@@ -40,9 +43,10 @@ from majorchain.solve import _SplitSearch
 BUDGETS = (0, 1, 2, 5, 50, 10**6)
 
 # sha256 of the records below.  The traced search keeps the memo, so a trace hash lists each
-# memo hit where the search re-enters an exhausted state; every other field is that of the
-# search before its memo and its per-node rewrite.
-GOLDEN = "8875e3ee4e5cb4fc7a607e5da8694ee01d188b7bb147168e35517513d85b73b8"
+# memo hit where the search enters a state with the position, totals and residual bounds of an
+# exhausted one; every other field is that of the search before its memo and its per-node
+# rewrite.
+GOLDEN = "5865b6bc855761917cccd2cbf9ba7ffa09fcc81b0f090bc082bf9378e6f09b50"
 
 # sha256 of (outcome, certificate, nodes) over the gap-256 instances below, recorded from the
 # search without the memo.
@@ -53,10 +57,10 @@ def random_partition(rng, max_len, max_part):
     return sorted((rng.randint(0, max_part) for _ in range(rng.randint(0, max_len))), reverse=True)
 
 
-def random_instance(rng):
+def random_instance(rng, pair_counts=(1, 3)):
     """Random pairs; half the time A and B pool the gaps of a random f, so a splitting exists."""
     pairs = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(*pair_counts)):
         d = random_partition(rng, 5, 6)
         t = []
         for part in d:
@@ -307,9 +311,61 @@ def test_the_memo_keeps_to_its_memory_bound(monkeypatch):
     bound = 128 * 2**10
     # The search's own tables and stack, and the entry stored after a clear.
     margin = 64 * 2**10
-    unbounded, unbounded_peak = traced_peak(inst, 100_000)
+    # The memo charges most of the budget's nodes, so the search tries only a few thousand
+    # values; 10**6 nodes let the unbounded memo grow well past bound + margin.
+    unbounded, unbounded_peak = traced_peak(inst, 10**6)
     assert unbounded_peak > bound + margin  # so the bound below is what holds the peak down
     monkeypatch.setattr(solve, "_MEMO_BYTES", bound)
-    bounded, bounded_peak = traced_peak(inst, 100_000)
+    bounded, bounded_peak = traced_peak(inst, 10**6)
     assert bounded == unbounded
     assert bounded_peak < bound + margin
+
+
+class RecordedTrace(list):
+    """A trace that keeps its entries."""
+
+    update = list.append
+
+
+def test_the_memo_changes_no_report(monkeypatch):
+    # 300 instances of 3-6 pairs at budgets 0, 1, 7, n - 1, n and 10**6, where n is the node
+    # count of the whole search, against the search without memo hits: with a bound of 0 bytes
+    # every store clears the whole memo, so nothing is ever found in it.  That search aborts
+    # with nodes == budget below n and gives its whole report from n on.
+    rng = random.Random(20261020)
+    cases = [random_instance(rng, (3, 6)) for _ in range(300)]
+    with monkeypatch.context() as patch:
+        patch.setattr(solve, "_MEMO_BYTES", 0)
+        whole = [report_record(solve_lemma(inst)) for inst in cases]
+    for inst, record in zip(cases, whole):
+        n, space_size = record[2], record[3]
+        for budget in sorted({0, 1, 7, max(n - 1, 0), n, 10**6}):
+            expected = record if budget >= n else (ABORTED, None, budget, space_size)
+            assert report_record(solve_lemma(inst, budget=budget)) == expected, budget
+    # The memo does stand in for sub-searches here: some hits charge nodes.
+    charged = 0
+    for inst in cases:
+        trace = RecordedTrace()
+        _SplitSearch(inst, 1, trace).run(10**6)
+        charged += sum(int(entry[:-1].partition(b"=")[2] or 0) for entry in trace)
+    assert charged > 1000
+
+
+def test_equal_residual_bounds_share_a_memo_entry():
+    # Position 2 opens the second pair.  After 0:1;1:1 the upper gaps are {1, 1}, after
+    # 0:2;1:0 they are {2}: different multisets with the same totals (ca = 1, cb = 2), and with
+    # |B| = 3 both leave one unit at every rank, so the second state is a memo hit charging the
+    # 2 nodes of the first's exhausted sub-search.
+    inst = LemmaInstance(
+        (
+            (Partition([2, 2]), Partition([1])),
+            (Partition([1]), Partition([])),
+            (Partition([]), Partition([])),
+        ),
+        Partition([2]),
+        Partition([3]),
+    )
+    trace = b"0:1;1:0;1:1;2:0;2:1;0:2;1:0;2=2;1:1;"
+    report = solve_lemma(inst)
+    assert (report.outcome, report.nodes) == ("none", 10)
+    assert search_trace_hash(inst) == hashlib.sha256(trace).hexdigest()

@@ -1,15 +1,17 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each of the 43 mutants is one exact text edit to one file under ``src/``:
+Each of the 47 mutants is one exact text edit to one file under ``src/``:
 a search cut or clamp dropped or tightened, the splitting search's
 closed-form shortfall off by one part in its count or by one in its
 bisect's threshold, one bound of the direct search's static window
 dropped, the splitting search's prefix table of A left unscaled, the
 splitting search's zero-position decision forced true, the splitting
 backtrack keeping the popped lower gap, the splitting search's memo keyed
-without the upper gaps (as bytes or as text), charging one node less per
-hit, aborting when a hit meets the budget exactly, left out of the trace
-or cleared from the root pair down, the direct backtrack not
+without the upper bounds (as bytes or as a tuple) or without the lower
+total, its residual bounds composed one rank off, trimmed below their
+room or composed from an earlier pair's stale bounds, charging one node
+less per hit, aborting when a hit meets the budget exactly, left out of
+the trace or cleared from the root pair down, the direct backtrack not
 restoring the mass, each verifier condition forced true, a
 test of ``majorizes`` dropped, a condition of the CLI's contradiction
 tripwire dropped, an exception class no longer caught, the
@@ -50,11 +52,12 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "demos", "bench", "pyproject.toml")
 SKIPPED_MODULES = {"test_acceptance.py", "test_mutant_list.py"}
 # Modules that kill most mutants, run first so a kill comes early; the rest follow by name.
+# The splitting-search kernel takes about 20 s, so it runs after the quick modules that kill the
+# direct-search, verifier and CLI mutants.
 FIRST_MODULES = (
     "test_import_footprint.py",
     "test_argument_rules.py",
     "test_solve.py",
-    "test_split_kernel.py",
     "test_chain_kernel.py",
     "test_single_search_path.py",
     "test_instances.py",
@@ -62,6 +65,7 @@ FIRST_MODULES = (
     "test_verifier_layer.py",
     "test_partitions.py",
     "test_cli.py",
+    "test_split_kernel.py",
 )
 # The unmutated copy runs the whole suite; a mutant run is stopped at the gate.
 BASELINE_TIMEOUT_S = 600
@@ -150,22 +154,46 @@ MUTANTS = (
         "",
     ),
     (
-        "split-memo-key-drops-upper-gaps",
+        "split-memo-key-drops-upper-bounds",
         SOLVE,
-        "bytes([*lower_gaps, 0, *upper_gaps])",
-        "bytes([*lower_gaps, 0])",
+        'b"%c%c%b%b" % (ca, len(lower), lower, upper)',
+        'b"%c%c%b" % (ca, len(lower), lower)',
+    ),
+    (
+        "split-memo-key-drops-the-lower-total",
+        SOLVE,
+        'b"%c%c%b%b" % (ca, len(lower), lower, upper)',
+        'b"%c%b%b" % (len(lower), lower, upper)',
+    ),
+    (
+        "split-memo-tuple-key-drops-upper-bounds",
+        SOLVE,
+        "return (ca, len(lower), *lower, *upper)",
+        "return (ca, len(lower), *lower)",
+    ),
+    (
+        "split-memo-bounds-composed-one-rank-off",
+        SOLVE,
+        "    shift = drop = 0\n",
+        "    shift, drop = 1, 0\n",
+    ),
+    (
+        "split-memo-bounds-trimmed-below-the-room",
+        SOLVE,
+        "while out and out[-1] == room:",
+        "while out and out[-1] >= room - 1:",
+    ),
+    (
+        "split-memo-known-bounds-kept-on-entry",
+        SOLVE,
+        "        self.known[i] = None\n",
+        "",
     ),
     (
         "split-memo-hit-aborts-at-the-budget",
         SOLVE,
         "if nodes + spent > cap:",
         "if nodes + spent >= cap:",
-    ),
-    (
-        "split-memo-text-key-drops-upper-gaps",
-        SOLVE,
-        'key = f"{lower_gaps}{upper_gaps}"',
-        'key = f"{lower_gaps}"',
     ),
     (
         "split-trace-skips-memo-hit",
@@ -177,8 +205,8 @@ MUTANTS = (
     (
         "split-memo-evicts-from-the-root",
         SOLVE,
-        "for seen in reversed(memo):",
-        "for seen in memo:",
+        "for k in reversed(range(len(self.entries))):",
+        "for k in range(len(self.entries)):",
     ),
     (
         "split-memo-hit-charges-one-node-less",
