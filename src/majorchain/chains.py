@@ -108,12 +108,11 @@ class PolyChain:
                 raise LengthMismatch(
                     f"factor {factor.label!r}: {len(vec)} exponents for a length-{length} chain"
                 )
-            for pos, e in enumerate(vec):
-                if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                    raise ValueError(
-                        f"factor {factor.label!r}: exponent at position {pos + 1} "
-                        f"must be a nonnegative integer, got {e!r}"
-                    )
+            # As in Partition: plain ints pass one lean loop, anything else the full check.
+            for e in vec:
+                if e.__class__ is not int or e < 0:
+                    _check_exponents(factor, vec)
+                    break
             factors.append(factor)
             vectors[factor.label] = vec
         factors.sort(key=lambda factor: factor.label)
@@ -202,13 +201,23 @@ class PolyChain:
         return f"PolyChain(length={self._length}, {{{table}}})"
 
 
+def _check_exponents(factor: Factor, vec: tuple) -> None:
+    """Raise ValueError at the first exponent that is not a nonnegative int (``bool`` excluded)."""
+    for pos, e in enumerate(vec):
+        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+            raise ValueError(
+                f"factor {factor.label!r}: exponent at position {pos + 1} "
+                f"must be a nonnegative integer, got {e!r}"
+            )
+
+
 def chain_validate(chain: PolyChain) -> bool:
     """True iff every factor's exponent vector is non-decreasing.
 
     That is exactly the condition for each chain entry to divide the next.
     """
     for vec in chain._vectors.values():
-        if any(vec[i] > vec[i + 1] for i in range(len(vec) - 1)):
+        if any(map(gt, vec, vec[1:])):
             return False
     return True
 

@@ -19,6 +19,18 @@ factor partitions, and vice versa.  The verifiers here check premises and
 conclusions of both forms, producing transcripts that list every condition
 with the two objects it compares.
 
+The translation reads conjugates straight off exponent vectors, with no
+intermediate factor partition.  A valid chain's exponent vector v of length
+L is non-decreasing, and it is the factor partition read upwards, so entry
+i of that partition's conjugate, the number of parts above i, is
+L - bisect_right(v, i) for i below v's last entry.  The other way, a
+partition f gets exponent #{parts of f above L - q} at chain position q:
+part j of f's conjugate counts the parts above j - 1 and sits at position
+L + 1 - j.  The index partitions c and r are read the same way off A and B.
+The public route (``dual``, ``PolyChain.factor_partition`` and
+``PolyChain.from_partitions``) gives the same values and stays as the
+reference that the tests compare these maps with.
+
 Each condition has one implementation here, which the solvers reuse:
 ``_pooled`` builds every pooled-gap multiset, ``_splitting_checks`` is the
 splitting conclusion (with the gaps scaled by a weight, 1 for the lemma
@@ -28,8 +40,10 @@ condition of the chain-completion form.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 from functools import cached_property
+from operator import lt, sub
 
 from .chains import (
     Factor,
@@ -43,12 +57,13 @@ from .errors import (
     ConclusionViolation,
     DominanceViolation,
     LengthMismatch,
+    LengthOverflow,
     NonLinearFactor,
     PremiseViolation,
     _int_argument,
     _Value,
 )
-from .partitions import Partition, as_partition, dual, majorizes, plus, union
+from .partitions import Partition, as_partition, majorizes, plus, union
 
 
 def _shifted_indices(indices: Partition, count: int) -> Partition:
@@ -137,11 +152,10 @@ class LemmaInstance(_Value, fields=("pairs", "A", "B")):
         normalized = []
         for index, (d, t) in enumerate(pairs):
             d, t = as_partition(d), as_partition(t)
-            for j in range(max(len(d), len(t))):
-                if d[j] < t[j]:
-                    raise DominanceViolation(
-                        f"pair {index}, position {j}: d={d[j]} < t={t[j]}"
-                    )
+            # t has no more parts than d and no part above d's, or the first violation is named.
+            if len(t.parts) > len(d.parts) or any(map(lt, d.parts, t.parts)):
+                j = next(j for j in range(len(t)) if d[j] < t[j])
+                raise DominanceViolation(f"pair {index}, position {j}: d={d[j]} < t={t[j]}")
             normalized.append((d, t))
         self.__dict__.update(pairs=tuple(normalized), A=as_partition(A), B=as_partition(B))
 
@@ -220,10 +234,10 @@ def _pooled(pairs, w: int) -> Partition:
     """The gaps w*(hi_j - lo_j) of every (hi, lo) pair with lo <= hi, sorted once."""
     gaps = []
     for hi, lo in pairs:
-        length = max(len(hi), len(lo))
-        gaps.extend(w * (a - b) for a, b in zip(hi.pad(length), lo.pad(length)))
+        hi = hi.parts  # lo <= hi, so lo has no more parts than hi
+        gaps += map(sub, hi, lo.pad(len(hi)))
     gaps.sort(reverse=True)
-    return Partition(gaps)
+    return Partition(gaps if w == 1 else [w * gap for gap in gaps])
 
 
 def _sigma_condition(name, sandwiched, indices, delta, epsilon, y, sandwich_name):
@@ -349,16 +363,60 @@ def _require_translatable(inst: TheoremInstance, scope: str) -> None:
         raise PremiseViolation("the chain-completion premises do not hold")
 
 
+def _conjugate(ascending) -> list[int]:
+    """Parts of the conjugate of the partition whose parts, read upwards, are ``ascending``.
+
+    Entry i counts the parts above i: all of them but the ones at most i.
+    """
+    count = len(ascending)
+    return [count - bisect_right(ascending, i) for i in range(ascending[-1] if ascending else 0)]
+
+
 def _conjugate_rows(chain: PolyChain, factors) -> tuple[Partition, ...]:
-    """Chain to splitting form: its factor partitions' conjugates, in ``factors`` order."""
-    return tuple(dual(chain.factor_partition(factor.label)) for factor in factors)
+    """Chain to splitting form: its factor partitions' conjugates, in ``factors`` order.
+
+    The chain must be valid (see :func:`chain_validate`), so that each
+    exponent vector is its factor partition read upwards.
+    """
+    return tuple(Partition(_conjugate(chain.exponent_vector(factor.label))) for factor in factors)
 
 
 def _chain_of_conjugates(length: int, factors, partitions) -> PolyChain:
-    """Inverse of :func:`_conjugate_rows`: ``factors[i]`` gets ``partitions[i]``'s conjugate."""
-    return PolyChain.from_partitions(
-        length, {factor: dual(part) for factor, part in zip(factors, partitions)}
-    )
+    """Inverse of :func:`_conjugate_rows`: ``factors[i]`` gets ``partitions[i]``'s conjugate.
+
+    A partition whose first part exceeds ``length`` has a conjugate with
+    more parts than the chain has positions; that raises
+    :class:`LengthOverflow`, as :meth:`PolyChain.from_partitions` does.
+    """
+    exponents = []
+    for factor, partition in zip(factors, partitions):
+        parts = partition.parts
+        if parts and parts[0] > length:
+            raise LengthOverflow(
+                f"factor {factor.label!r}: partition with {parts[0]} parts "
+                f"does not fit a length-{length} chain"
+            )
+        ascending = parts[::-1]
+        count = len(parts)
+        vector = [count - bisect_right(ascending, length - q) for q in range(1, length + 1)]
+        exponents.append((factor, vector))
+    return PolyChain(length, exponents)
+
+
+# The fresh degree-1 factors e1, e2, ... of every translated instance.  Factor is an immutable
+# value compared by its fields, so sharing the objects is not visible to callers.  Threads that
+# extend the tuple at once can at worst replace it with equal factors, never with wrong ones.
+_fresh_factors: tuple[Factor, ...] = ()
+
+
+def _fresh(k: int) -> tuple[Factor, ...]:
+    """The first ``k`` shared fresh factors, made on first need."""
+    global _fresh_factors
+    known = _fresh_factors
+    if len(known) < k:
+        known += tuple(Factor(f"e{i}") for i in range(len(known) + 1, k + 1))
+        _fresh_factors = known
+    return known[:k]
 
 
 def theorem_to_lemma(inst: TheoremInstance) -> LemmaInstance:
@@ -373,7 +431,9 @@ def theorem_to_lemma(inst: TheoremInstance) -> LemmaInstance:
     _require_translatable(inst, "the translation requires degree-1 factors")
     factors = inst.factors
     pairs = tuple(zip(_conjugate_rows(inst.gamma, factors), _conjugate_rows(inst.alpha, factors)))
-    return LemmaInstance(pairs, dual(inst.c_plus), dual(inst.r_plus))
+    A = Partition(_conjugate(inst.c_plus.parts[::-1]))
+    B = Partition(_conjugate(inst.r_plus.parts[::-1]))
+    return LemmaInstance(pairs, A, B)
 
 
 def lemma_to_theorem(inst: LemmaInstance) -> TheoremInstance:
@@ -382,18 +442,20 @@ def lemma_to_theorem(inst: LemmaInstance) -> TheoremInstance:
     m and p are the first parts of A and B; the shifted indices are the
     conjugates of A and B; the inner chain has length max over i of t^i_1
     and one fresh degree-1 factor per pair carrying the conjugates of t^i
-    and d^i.  The premises of the result hold whenever the input's premise
-    did; a failing premise raises :class:`PremiseViolation` since the
-    resulting instance would fail its own premises too.
+    and d^i.  The fresh factors are e1, e2, ..., the same objects in every
+    translated instance.  The premises of the result hold whenever the
+    input's premise did; a failing premise raises :class:`PremiseViolation`
+    since the resulting instance would fail its own premises too.
     """
     if not inst.premise_holds:
         raise PremiseViolation("the pooled gaps are not majorized by A+B")
     m = inst.A[0]
     p = inst.B[0]
-    c = Partition(part - 1 for part in dual(inst.A).parts)
-    r = Partition(part - 1 for part in dual(inst.B).parts)
+    # Entry i of A's conjugate less one counts the parts of A above i other than its first.
+    c = Partition(_conjugate(inst.A.parts[:0:-1]))
+    r = Partition(_conjugate(inst.B.parts[:0:-1]))
     n = max((t[0] for _, t in inst.pairs), default=0)
-    factors = [Factor(f"e{i + 1}") for i in range(inst.k)]
+    factors = _fresh(inst.k)
     alpha = _chain_of_conjugates(n, factors, [t for _, t in inst.pairs])
     gamma = _chain_of_conjugates(n + m + p, factors, [d for d, _ in inst.pairs])
     return TheoremInstance(alpha, gamma, c, r, m=m, p=p)

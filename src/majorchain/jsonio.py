@@ -7,7 +7,9 @@ Formats (all UTF-8 JSON, no comments):
 * splitting instance: {"pairs": [{"d", "t"}], "A", "B"};
 * completion instance: {"alpha", "gamma", "c", "r", "m", "p", "n"};
 * certificates: {"fs": [partition]} or {"beta": chain};
-* solve report: {"outcome", "certificate", "nodes", "budget", "space_size"};
+* solve report: {"outcome", "certificate", "nodes", "budget", "space_size"},
+  where a ``space_size`` of more than 4,300 decimal digits is a string, its
+  lowercase hexadecimal form with a ``0x`` prefix (see below);
 * transcript: [{"name", "holds", "left", "right", "note"}];
 * identity pair (``majorchain identity``): {"delta": chain, "epsilon": chain};
 * contradiction artifact: {"instance", "report", "trace_sha256"}.
@@ -17,6 +19,14 @@ message names the JSON path of the offending element.  Parts are capped at
 the signed 64-bit maximum: anything larger is a parse error, never a silent
 wrap.  Malformed text, and text nested too deeply for the parser, is an
 :class:`InputError` too.
+
+CPython converts an integer to or from decimal text only up to 4,300
+digits by default, and ``json`` obeys that limit both ways.  A search's
+``space_size`` can pass it (2^n for n unit positions passes it at about
+14,300), so a report writes such a value in hexadecimal, which has no
+limit, and reads it back.  Every smaller value stays a JSON integer, and
+the parser takes the hexadecimal form only for a value past the limit, so
+each value has one form whatever the interpreter's limit is set to.
 """
 
 from __future__ import annotations
@@ -37,6 +47,9 @@ from .solve import ABORTED, FOUND, NO_SOLUTION, SolveReport, search_trace_hash
 
 MAX_PART = 2**63 - 1
 MAX_CHAIN_LENGTH = 2**20
+# The least integer of 4,301 decimal digits: a space_size from here up is written in hex.
+_HEX_SPACE_SIZE = 10**4300
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 _OUTCOMES = (FOUND, NO_SOLUTION, ABORTED)
 
@@ -254,8 +267,26 @@ def solve_report_to_obj(report: SolveReport) -> dict:
         "certificate": certificate_to_obj(report.certificate),
         "nodes": report.nodes,
         "budget": report.budget,
-        "space_size": report.space_size,
+        "space_size": (
+            report.space_size if report.space_size < _HEX_SPACE_SIZE else hex(report.space_size)
+        ),
     }
+
+
+def _parse_space_size(value: object, path: str) -> int:
+    """An integer, or the ``0x`` form of one with more than 4,300 decimal digits."""
+    if not isinstance(value, str):
+        return _require_int(value, path)
+    digits = value[2:]
+    canonical = value.startswith("0x") and digits[:1] not in ("", "0")
+    if not (canonical and _HEX_DIGITS.issuperset(digits)):
+        raise InputError(
+            "expected an integer or a lowercase hexadecimal string with a '0x' prefix", path
+        )
+    size = int(digits, 16)
+    if size < _HEX_SPACE_SIZE:
+        raise InputError("a value of at most 4300 decimal digits must be a JSON integer", path)
+    return size
 
 
 def parse_solve_report(obj: object, path: str = "$") -> SolveReport:
@@ -269,7 +300,7 @@ def parse_solve_report(obj: object, path: str = "$") -> SolveReport:
         raise InputError(f"{rule} when the outcome is {outcome!r}", f"{path}.certificate")
     budget = _require_int(data["budget"], f"{path}.budget")
     nodes = _require_int(data["nodes"], f"{path}.nodes", maximum=budget)
-    space_size = _require_int(data["space_size"], f"{path}.space_size")
+    space_size = _parse_space_size(data["space_size"], f"{path}.space_size")
     return SolveReport(outcome, certificate, nodes, budget, space_size)
 
 

@@ -12,6 +12,8 @@ All values are immutable and all functions are pure.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate
+from operator import add, le
 
 from .errors import DominanceViolation, NotAPartition, _int_argument
 
@@ -27,15 +29,14 @@ class Partition:
 
     def __init__(self, parts: Iterable[int] = ()):
         data = tuple(parts)
-        for pos, value in enumerate(data):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise NotAPartition(f"parts[{pos}]={value!r} is not an integer")
-            if value < 0:
-                raise NotAPartition(f"parts[{pos}]={value} is negative")
-            if pos and data[pos - 1] < value:
-                raise NotAPartition(
-                    f"parts[{pos}]={value} exceeds parts[{pos - 1}]={data[pos - 1]}"
-                )
+        # Plain ints pass one lean loop.  At the first part that does not, _check_parts runs the
+        # full check, which names the first fault or, for ints of a subclass, accepts them all.
+        previous = data[0] if data else 0
+        for value in data:
+            if value.__class__ is not int or value < 0 or value > previous:
+                _check_parts(data)
+                break
+            previous = value
         end = len(data)
         while end and data[end - 1] == 0:
             end -= 1
@@ -83,6 +84,20 @@ class Partition:
         return f"Partition({self._parts!r})"
 
 
+def _check_parts(data: tuple) -> None:
+    """Raise :class:`NotAPartition` at the first part that is not a nonnegative
+    integer (``bool`` excluded) at most the part before it."""
+    for pos, value in enumerate(data):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise NotAPartition(f"parts[{pos}]={value!r} is not an integer")
+        if value < 0:
+            raise NotAPartition(f"parts[{pos}]={value} is negative")
+        if pos and data[pos - 1] < value:
+            raise NotAPartition(
+                f"parts[{pos}]={value} exceeds parts[{pos - 1}]={data[pos - 1]}"
+            )
+
+
 def as_partition(value: PartitionLike) -> Partition:
     """Coerce a raw sequence into a :class:`Partition` (validating it)."""
     return value if isinstance(value, Partition) else Partition(value)
@@ -117,9 +132,10 @@ def union(a: PartitionLike, b: PartitionLike) -> Partition:
 
 def plus(a: PartitionLike, b: PartitionLike) -> Partition:
     """Componentwise sum after padding to the longer length."""
-    a, b = as_partition(a), as_partition(b)
-    n = max(len(a), len(b))
-    return Partition(a[i] + b[i] for i in range(n))
+    a, b = as_partition(a).parts, as_partition(b).parts
+    if len(a) < len(b):
+        a, b = b, a
+    return Partition(map(add, a, b + (0,) * (len(a) - len(b))))
 
 
 def diff_sorted(a: PartitionLike, b: PartitionLike) -> Partition:
@@ -152,12 +168,11 @@ def majorizes(a: PartitionLike, b: PartitionLike) -> bool:
 
     Holds iff the totals agree and every prefix sum of ``a`` is at most the
     matching prefix sum of ``b``.  Unequal totals give False, not an error.
+    With equal totals the prefix sums past the shorter partition need no
+    check: if ``a`` is longer, its later sums stay at most the shared total,
+    which ``b``'s sums have reached; if ``b`` is longer, ``a``'s sum at its
+    own last part already is that total, which ``b``'s sum there falls short
+    of.
     """
-    a, b = as_partition(a), as_partition(b)
-    run_a = run_b = 0
-    for i in range(max(len(a), len(b))):
-        run_a += a[i]
-        run_b += b[i]
-        if run_a > run_b:
-            return False
-    return run_a == run_b
+    a, b = as_partition(a).parts, as_partition(b).parts
+    return sum(a) == sum(b) and all(map(le, accumulate(a), accumulate(b)))

@@ -492,12 +492,15 @@ class _ChainSearch:
         windows = []
         size = 1
         for fi, factor in enumerate(self.factors):
-            label = factor.label
+            # gamma(q) and gamma(q+p) sit at indices q-1 and q+p-1 <= n+m+p-1 of gamma's vector;
+            # alpha(q-m) reads 0 (the constant 1) for q <= m, and alpha(q) exists only for q <= n.
+            gamma_vec = inst.gamma.exponent_vector(factor.label)
+            alpha_vec = inst.alpha.exponent_vector(factor.label)
             for q in range(1, self.chain_length + 1):
-                gamma_lo = inst.gamma.exponent(label, q)
-                gamma_hi = inst.gamma.exponent(label, q + p)
-                alpha_lo = inst.alpha.exponent(label, q - m)
-                alpha_hi = inst.alpha.exponent(label, q) if q <= n else None
+                gamma_lo = gamma_vec[q - 1]
+                gamma_hi = gamma_vec[q + p - 1]
+                alpha_lo = alpha_vec[q - m - 1] if q > m else 0
+                alpha_hi = alpha_vec[q - 1] if q <= n else None
                 lo = max(gamma_lo, alpha_lo)
                 hi = gamma_hi if alpha_hi is None or gamma_hi <= alpha_hi else alpha_hi
                 windows.append((fi, q, factor.degree, lo, hi))

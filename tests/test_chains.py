@@ -26,6 +26,10 @@ from helpers import pi_degree_by_products, random_interlaced_pair
 X = Factor("x")
 
 
+class Small(int):
+    """An int subclass: a valid exponent, though not of the exact type int."""
+
+
 def chain(*exponents, factor=X):
     return PolyChain(len(exponents), {factor: exponents})
 
@@ -50,6 +54,22 @@ class TestPolyChain:
             PolyChain(1, {X: (-1,)})
         with pytest.raises(ValueError):
             PolyChain(1, {X: (True,)})
+
+    @pytest.mark.parametrize(
+        "vector, shown",
+        [
+            ((0, 1.0, -1), "position 2 must be a nonnegative integer, got 1.0"),
+            ((0, 2, -1), "position 3 must be a nonnegative integer, got -1"),
+            ((Small(1), False), "position 2 must be a nonnegative integer, got False"),
+        ],
+    )
+    def test_the_first_bad_exponent_is_named(self, vector, shown):
+        with pytest.raises(ValueError) as raised:
+            PolyChain(3, {X: vector + (5,) * (3 - len(vector))})
+        assert str(raised.value) == f"factor 'x': exponent at {shown}"
+
+    def test_ints_of_a_subclass_of_int_are_exponents(self):
+        assert PolyChain(2, {X: (Small(1), 2)}) == chain(1, 2)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):

@@ -498,6 +498,23 @@ class TestInputsBeyondTheInterpreter:
         assert code == 0
         assert out["outcome"] == "found" and out["nodes"] == 1500
 
+    def test_a_space_size_past_4300_digits_is_reported_in_hex(self, capsys, tmp_path):
+        # 10 KB, premise true; the search box has (2**62 + 1)**240 points, 4,480 decimal digits,
+        # past CPython's default limit for turning an int into decimal text.
+        big = 2**62
+        instance = write(
+            tmp_path,
+            "wide.json",
+            {"pairs": [{"d": [big] * 240, "t": []}], "A": [big] * 120, "B": [big] * 120},
+        )
+        code = cli_dispatch(["solve", "--mode", "lemma", "--budget", "1", "--instance", instance])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == ""
+        out = json.loads(captured.out)
+        assert (out["outcome"], out["nodes"], out["budget"]) == ("aborted", 1, 1)
+        assert out["space_size"] == hex((big + 1) ** 240)
+        assert jsonio.parse_solve_report(out).space_size == (big + 1) ** 240
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -12,6 +12,7 @@ from majorchain import (
     LemmaInstance,
     Partition,
     PolyChain,
+    SolveReport,
     search_trace_hash,
     solve_lemma,
     solve_theorem,
@@ -163,6 +164,56 @@ class TestCertificateAndReportFormats:
         del obj["space_size"]
         error = self.rejection(obj)
         assert error.path == "$" and "'space_size'" in str(error)
+
+
+class TestSpaceSizeForm:
+    """A space_size past 4,300 decimal digits is written, and read, as a '0x' hex string."""
+
+    REPORT = {"outcome": "aborted", "certificate": None, "nodes": 0, "budget": 0}
+
+    def report(self, space_size):
+        return SolveReport("aborted", None, 0, 0, space_size)
+
+    @pytest.mark.parametrize("space_size", [1, 10**4300 - 1], ids=["1", "10**4300-1"])
+    def test_values_that_fit_stay_integers(self, space_size):
+        obj = jsonio.solve_report_to_obj(self.report(space_size))
+        assert obj["space_size"] == space_size
+        assert jsonio.parse_solve_report(obj).space_size == space_size
+
+    @pytest.mark.parametrize("space_size", [10**4300, 3**20000], ids=["10**4300", "3**20000"])
+    def test_larger_values_round_trip_through_text_in_hex(self, space_size):
+        text = jsonio.dumps(jsonio.solve_report_to_obj(self.report(space_size)))
+        obj = jsonio.load_json(text)
+        assert obj["space_size"] == hex(space_size)
+        assert jsonio.parse_solve_report(obj) == self.report(space_size)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "0x10",  # fits in 4,300 digits, so it must be an integer
+            "0X" + "f" * 4000,
+            "f" * 4000,
+            "0x" + "F" * 4000,
+            "0x0" + "f" * 4000,
+            "0x",
+            "",
+            "0x-1",
+        ],
+        ids=[
+            "small",
+            "upper-prefix",
+            "no-prefix",
+            "upper-digits",
+            "leading-zero",
+            "no-digits",
+            "empty",
+            "sign",
+        ],
+    )
+    def test_other_strings_are_rejected(self, value):
+        with pytest.raises(InputError) as err:
+            jsonio.parse_solve_report({**self.REPORT, "space_size": value})
+        assert err.value.path == "$.space_size"
 
 
 class TestMalformedJson:

@@ -1,6 +1,6 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each of the 47 mutants is one exact text edit to one file under ``src/``:
+Each of the 49 mutants is one exact text edit to one file under ``src/``:
 a search cut or clamp dropped or tightened, the splitting search's
 closed-form shortfall off by one part in its count or by one in its
 bisect's threshold, one bound of the direct search's static window
@@ -12,8 +12,11 @@ total, its residual bounds composed one rank off, trimmed below their
 room or composed from an earlier pair's stale bounds, charging one node
 less per hit, aborting when a hit meets the budget exactly, left out of
 the trace or cleared from the root pair down, the direct backtrack not
-restoring the mass, each verifier condition forced true, a
-test of ``majorizes`` dropped, a condition of the CLI's contradiction
+restoring the mass, each verifier condition forced true, the totals
+test of ``majorizes`` dropped, the translation's conjugate counting the
+parts equal to i as above i (``bisect_right`` at i - 1, which is
+``bisect_left`` at i on integers) or its embedding of a conjugate into a
+chain one position off, a condition of the CLI's contradiction
 tripwire dropped, an exception class no longer caught, the
 integer-argument rule made to accept bools, the records' equality narrowed
 to their first field and their assignment guard dropped, the sampler's
@@ -64,6 +67,7 @@ FIRST_MODULES = (
     "test_transcripts.py",
     "test_verifier_layer.py",
     "test_partitions.py",
+    "test_conjugation.py",
     "test_cli.py",
     "test_split_kernel.py",
 )
@@ -320,8 +324,20 @@ MUTANTS = (
     (
         "majorizes-totals-test-dropped",
         "src/majorchain/partitions.py",
-        "    return run_a == run_b\n",
-        "    return True\n",
+        "    return sum(a) == sum(b) and all(map(le, accumulate(a), accumulate(b)))\n",
+        "    return all(map(le, accumulate(a), accumulate(b)))\n",
+    ),
+    (
+        "conjugate-bisect-left",
+        INSTANCES,
+        "    return [count - bisect_right(ascending, i) for i in range(ascending[-1] if ascending else 0)]\n",
+        "    return [count - bisect_right(ascending, i - 1) for i in range(ascending[-1] if ascending else 0)]\n",
+    ),
+    (
+        "conjugate-embedding-one-position-off",
+        INSTANCES,
+        "bisect_right(ascending, length - q) for q in range(1, length + 1)]\n",
+        "bisect_right(ascending, length - q + 1) for q in range(1, length + 1)]\n",
     ),
     (
         "cli-tripwire-premise-test-dropped",
@@ -362,8 +378,8 @@ MUTANTS = (
     (
         "generator-transfer-between-equal-parts",
         "src/majorchain/generator.py",
-        "            if source > target:\n",
-        "            if source >= target:\n",
+        "for v, target in enumerate(slots) if source > target]\n",
+        "for v, target in enumerate(slots) if source >= target]\n",
     ),
 )
 
