@@ -468,8 +468,9 @@ def f_to_beta(inst: TheoremInstance, certificate: FCertificate) -> BetaCertifica
     instance in canonical order.  For a certificate that verifies against
     ``theorem_to_lemma(inst)`` the result verifies against ``inst``; an f^i
     whose conjugate does not fit the middle chain (first part beyond n+m)
-    makes :meth:`PolyChain.from_partitions` raise
-    :class:`~majorchain.errors.LengthOverflow`, which cannot happen for
+    makes :func:`_chain_of_conjugates` raise
+    :class:`~majorchain.errors.LengthOverflow`, with the message
+    :meth:`PolyChain.from_partitions` gives, which cannot happen for
     verified input.
     """
     fs = certificate.fs

@@ -15,10 +15,12 @@ Formats (all UTF-8 JSON, no comments):
 * contradiction artifact: {"instance", "report", "trace_sha256"}.
 
 Parsers reject out-of-schema values with an :class:`InputError` whose
-message names the JSON path of the offending element.  Parts are capped at
-the signed 64-bit maximum: anything larger is a parse error, never a silent
-wrap.  Malformed text, and text nested too deeply for the parser, is an
-:class:`InputError` too.
+message names the JSON path of the offending element.  Parts, chain
+exponents and factor degrees are capped at the signed 64-bit maximum:
+anything larger is a parse error, never a silent wrap, and the sums and
+products of them that a command prints stay far below the limit on
+printing integers described next.  Malformed text, and text nested too
+deeply for the parser, is an :class:`InputError` too.
 
 CPython converts an integer to or from decimal text only up to 4,300
 digits by default, and ``json`` obeys that limit both ways.  A search's
@@ -139,7 +141,7 @@ def parse_chain(obj: object, path: str = "$") -> PolyChain:
         if label in labels:
             raise InputError(f"duplicate label {label!r}", f"{here}.label")
         labels.add(label)
-        degree = _require_int(record["degree"], f"{here}.degree", minimum=1)
+        degree = _require_int(record["degree"], f"{here}.degree", minimum=1, maximum=MAX_PART)
         exponents = _require_list(record["exponents"], f"{here}.exponents")
         if len(exponents) != length:
             raise InputError(

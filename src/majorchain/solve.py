@@ -13,17 +13,14 @@ position, so how many positions a search can have is bounded by memory,
 not by the interpreter's recursion limit.  Work is measured in nodes, one
 per candidate value tried at a position, so reports are machine
 independent.  When the node budget would be exceeded the search stops with
-an ``aborted`` outcome and ``nodes`` equal to the budget.  The splitting
-search has two monotone cuts that skip the rest of a position's window; at
-the first position they skip only the value that triggered them, so every
-value in the root window is tried and costs one node and one trace entry.  Node counts are part of a solve's
-output and the trace hash pins the explored tree, so this root-window rule
-keeps both equal to those of a search that runs one sub-search per
-first-position value.  Each splitting-search node reads precomputed sums,
-one ``bisect`` into its pair's negated d for the shortfall and two prefix
-scans against tables of floor(prefix/w), run inside C builtins (see
-``_SplitSearch``); they decide what the scaled sums would, so node counts
-and traces do not depend on how checks are made.
+an ``aborted`` outcome and ``nodes`` equal to the budget.  Every cut of
+the splitting search acts the same at every position, the first included:
+the two monotone cuts (upper mass, lower prefix) end the window, and the
+other two try the next value.  Each splitting-search node reads
+precomputed sums, one ``bisect`` into its pair's negated d for the
+shortfall and two prefix scans against tables of floor(prefix/w), run
+inside C builtins (see ``_SplitSearch``); they decide what the scaled sums
+would, so node counts and traces do not depend on how checks are made.
 
 The splitting search remembers the sub-searches it has exhausted.
 Majorization sees only the multiset of gaps, not which pair gave which
@@ -140,8 +137,7 @@ def _run(search, budget: int, workers: int) -> SolveReport:
     Every :class:`SolveReport` is built here from the search's ``(outcome,
     certificate, nodes)``.  ``workers`` is validated and otherwise ignored:
     the search is sequential.  A search with no positions decides at once,
-    for 0 nodes.  The module docstring gives the root-window rule that keeps
-    node counts and traces fixed.
+    for 0 nodes.
     """
     _int_argument("budget", budget)
     _int_argument("workers", workers, minimum=1)
@@ -308,10 +304,11 @@ class _SplitSearch:
     work or one pass inside C builtins.  Entering a pair's first part in a
     state the memo holds (see the module docstring) charges the nodes of
     that whole exhausted sub-search at once, and tries no value there.  The
-    checks:
+    checks, which act the same at every position:
 
     * upper mass: cb + (d[j] - v) plus ``rest``, the gap total of all later
-      positions, must reach ceil(|B|/w);
+      positions, must reach ceil(|B|/w).  It only falls as v grows, so a
+      failure ends the window;
     * lower mass: ca + (v - t[j]) plus what the later positions can still
       add must reach ceil(|A|/w).  A later position u of the same pair adds
       at most min(d[u], v) - t[u], because f is a partition; a later pair
@@ -328,6 +325,7 @@ class _SplitSearch:
       sum P floor-divided by w, since w*S <= P exactly when S <= P//w.  Ranks
       past len(A) need no check, since their sums are at most ca <= |A|//w
       (and cb <= |B|//w).  Both run as ``all(map(le, accumulate(...), pre))``.
+      The lower gap only grows with v, so a lower failure ends the window.
 
     :func:`search_trace_hash` passes a ``trace`` (a hashlib object), and
     ``run`` feeds it ``b"<position>:<value>;"`` for every node and
@@ -389,7 +387,7 @@ class _SplitSearch:
                 value = dj - (limit_b - cb)
                 if value < tj:
                     value = tj
-                if not j and pos_idx:
+                if not j:
                     key = spent = None
                     if memo is not None:
                         key, spent = memo.look_up(i, pos_idx, ca, cb, lower_gaps, upper_gaps, stack)
@@ -434,9 +432,8 @@ class _SplitSearch:
             ca2 = ca + gap_lower
             cb2 = cb + gap_upper
             if cb2 + rest < need_b:
-                # Larger values shrink the upper side further.  The root tries its whole
-                # window, so node counts and traces stay put.
-                value = value + 1 if pos_idx == 0 else hi + 1
+                # Larger values shrink the upper side further.
+                value = hi + 1
                 continue
             end = bisect_left(neg_d, -value, j + 1)  # d[j + 1:end] are the parts above value
             if ca2 + rest - (sums[end] - sums[j + 1] - (end - j - 1) * value) < need_a:
@@ -446,8 +443,8 @@ class _SplitSearch:
                 insort(lower_gaps, gap_lower)
                 if not all(map(le, accumulate(reversed(lower_gaps)), pre_a)):
                     lower_gaps.remove(gap_lower)
-                    # Larger values make this prefix worse; as above, the root tries its window.
-                    value = value + 1 if pos_idx == 0 else hi + 1
+                    # Larger values make this prefix worse.
+                    value = hi + 1
                     continue
             if gap_upper:
                 insort(upper_gaps, gap_upper)

@@ -515,6 +515,31 @@ class TestInputsBeyondTheInterpreter:
         assert out["space_size"] == hex((big + 1) ** 240)
         assert jsonio.parse_solve_report(out).space_size == (big + 1) ** 240
 
+    def test_a_factor_degree_past_the_part_cap_exits_2(self, capsys, tmp_path):
+        # A degree of 4,300 digits still parses as JSON, but printing the degree sequence it
+        # leads to would pass CPython's limit, so the parser caps degrees as it caps exponents.
+        degree = 10**4299
+        instance = write(
+            tmp_path,
+            "degree.json",
+            {
+                "delta": {
+                    "length": 1,
+                    "factors": [{"label": "x", "degree": degree, "exponents": [3]}],
+                },
+                "epsilon": {
+                    "length": 2,
+                    "factors": [{"label": "x", "degree": degree, "exponents": [0, 30]}],
+                },
+            },
+        )
+        code = cli_dispatch(["identity", "--instance", instance])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: $.delta.factors[0].degree: 1000")
+        assert captured.err.endswith(f" exceeds the maximum {jsonio.MAX_PART}\n")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

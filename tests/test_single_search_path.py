@@ -114,14 +114,14 @@ class TestWorkersArgument:
 
 
 def upper_mass_cut_instance():
-    # B needs 2 but the only gap is 1, so the upper-mass bound cuts both root
-    # values.
+    # B needs 2 but the only gap is 1, so the upper-mass bound cuts the first
+    # root value, and with it the whole root window.
     return LemmaInstance(((Partition([1]), Partition()),), Partition([1]), Partition([2]))
 
 
 def lower_prefix_cut_instance():
-    # The root window is 2..3, and a first lower gap of 2 or 3 already exceeds
-    # A's largest part, so the lower-prefix bound cuts both root values.
+    # The root window is 2..3, and a first lower gap of 2 already exceeds A's
+    # largest part, so the lower-prefix bound cuts the whole root window.
     return LemmaInstance(
         ((Partition([3, 1]), Partition()),), Partition([1, 1, 1]), Partition([1])
     )
@@ -147,14 +147,14 @@ class TestOneDescent:
     @pytest.mark.parametrize(
         "inst, trace",
         [
-            (upper_mass_cut_instance(), b"0:0;0:1;"),
-            (lower_prefix_cut_instance(), b"0:2;0:3;"),
+            (upper_mass_cut_instance(), b"0:0;"),
+            (lower_prefix_cut_instance(), b"0:2;"),
         ],
         ids=["upper-mass", "lower-prefix"],
     )
-    def test_a_cut_root_value_costs_a_node_and_a_trace_entry(self, inst, trace):
+    def test_a_root_cut_ends_the_window(self, inst, trace):
         report = solve_lemma(inst)
-        assert report.outcome == "none" and report.nodes == 2
+        assert report.outcome == "none" and report.nodes == 1
         assert search_trace_hash(inst) == hashlib.sha256(trace).hexdigest()
 
     @pytest.mark.parametrize(
@@ -192,9 +192,9 @@ class TestOneDescent:
 
     @pytest.mark.parametrize(
         "budget, outcome, nodes",
-        [(0, "aborted", 0), (1, "aborted", 1), (2, "none", 2), (3, "none", 2)],
+        [(0, "aborted", 0), (1, "none", 1), (2, "none", 1), (3, "none", 1)],
     )
-    def test_budget_counts_root_values(self, budget, outcome, nodes):
+    def test_budget_stops_at_a_root_cut(self, budget, outcome, nodes):
         report = solve_lemma(upper_mass_cut_instance(), budget=budget)
         assert (report.outcome, report.nodes) == (outcome, nodes)
 

@@ -44,13 +44,12 @@ BUDGETS = (0, 1, 2, 5, 50, 10**6)
 
 # sha256 of the records below.  The traced search keeps the memo, so a trace hash lists each
 # memo hit where the search enters a state with the position, totals and residual bounds of an
-# exhausted one; every other field is that of the search before its memo and its per-node
-# rewrite.
-GOLDEN = "5865b6bc855761917cccd2cbf9ba7ffa09fcc81b0f090bc082bf9378e6f09b50"
+# exhausted one; every other field is that of the search without its memo.
+GOLDEN = "5827d91255e111f89f4cb59d3acbdcc1ddec8e36f67f849ea48e829a646f0039"
 
 # sha256 of (outcome, certificate, nodes) over the gap-256 instances below, recorded from the
 # search without the memo.
-WIDE_GAPS = "c9b95565e9ef3d66711b4947d06ddfbb136ed7c20cedb622eb79063b84a27759"
+WIDE_GAPS = "49dfef0e248015f4454d9f680cffc0b08a04ab14056c5cbb7db6ac61a97c8591"
 
 
 def random_partition(rng, max_len, max_part):

@@ -1,10 +1,12 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
 Each of the 49 mutants is one exact text edit to one file under ``src/``:
-a search cut or clamp dropped or tightened, the splitting search's
-closed-form shortfall off by one part in its count or by one in its
-bisect's threshold, one bound of the direct search's static window
-dropped, the splitting search's prefix table of A left unscaled, the
+a search cut or clamp dropped or tightened, each monotone cut of the
+splitting search made to try the next value instead of ending the window,
+the splitting search's closed-form shortfall off by one part in its count
+or by one in its bisect's threshold, one bound of the direct search's
+static window dropped, the splitting search's prefix table of A left
+unscaled, the
 splitting search's zero-position decision forced true, the splitting
 backtrack keeping the popped lower gap, the splitting search's memo keyed
 without the upper bounds (as bytes or as a tuple) or without the lower
@@ -130,19 +132,19 @@ MUTANTS = (
         "if False:",
     ),
     (
-        "split-root-window-rule-dropped",
+        "split-upper-mass-break-to-continue",
         SOLVE,
-        "                # window, so node counts and traces stay put.\n"
-        "                value = value + 1 if pos_idx == 0 else hi + 1\n",
-        "                # window, so node counts and traces stay put.\n"
+        "                # Larger values shrink the upper side further.\n"
         "                value = hi + 1\n",
+        "                # Larger values shrink the upper side further.\n"
+        "                value += 1\n",
     ),
     (
         "split-lower-prefix-break-to-continue",
         SOLVE,
-        "                    # Larger values make this prefix worse; as above, the root tries its window.\n"
-        "                    value = value + 1 if pos_idx == 0 else hi + 1\n",
-        "                    # Larger values make this prefix worse; as above, the root tries its window.\n"
+        "                    # Larger values make this prefix worse.\n"
+        "                    value = hi + 1\n",
+        "                    # Larger values make this prefix worse.\n"
         "                    value += 1\n",
     ),
     (
