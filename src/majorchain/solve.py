@@ -13,14 +13,15 @@ position, so how many positions a search can have is bounded by memory,
 not by the interpreter's recursion limit.  Work is measured in nodes, one
 per candidate value tried at a position, so reports are machine
 independent.  When the node budget would be exceeded the search stops with
-an ``aborted`` outcome and ``nodes`` equal to the budget.  Every cut of
-the splitting search acts the same at every position, the first included:
-the two monotone cuts (upper mass, lower prefix) end the window, and the
-other two try the next value.  Each splitting-search node reads
-precomputed sums, one ``bisect`` into its pair's negated d for the
-shortfall and two prefix scans against tables of floor(prefix/w), run
-inside C builtins (see ``_SplitSearch``); they decide what the scaled sums
-would, so node counts and traces do not depend on how checks are made.
+an ``aborted`` outcome and ``nodes`` equal to the budget.  Both searches
+test mass only as bounds of each position's window, so every value tried
+can still bring the totals to what a solution needs.  The splitting
+search's only per-node cuts are its two prefix checks, and they act the
+same at every position, the first included: the lower one ends the window
+and the upper one tries the next value.  Each runs one scan against a
+table of floor(prefix/w) inside C builtins (see ``_SplitSearch``); they
+decide what the scaled sums would, so node counts and traces do not depend
+on how checks are made.
 
 The splitting search remembers the sub-searches it has exhausted.
 Majorization sees only the multiset of gaps, not which pair gave which
@@ -104,8 +105,8 @@ class SolveReport(_Value, fields=("outcome", "certificate", "nodes", "budget", "
     ``nodes`` is the node count of the search without the splitting
     search's memo: one per candidate value tried, where a memo hit charges
     the nodes of the exhausted sub-search it stands for, so the values
-    actually tried can be far fewer (on the deep corpus, 799,140 for
-    3,492,292 counted nodes).  ``budget`` caps that count.  ``space_size``
+    actually tried can be far fewer (on the deep corpus, 601,456 for
+    2,558,019 counted nodes).  ``budget`` caps that count.  ``space_size``
     is the raw number of value combinations in the unpruned search box,
     recorded so aborted reports still convey how large the task was.
     """
@@ -174,6 +175,17 @@ def _compose(bounds, gaps, width, room):
     while out and out[-1] == room:
         out.pop()
     return out
+
+
+def _lower_reach(v, j, neg_d, sums):
+    """v less the shortfall sum(max(0, d[u] - v) for u > j) of d's parts after the j-th.
+
+    d is non-increasing, so its negated parts ``neg_d`` ascend and ``bisect`` finds the later
+    parts above v; ``sums`` are d's prefix sums.  It grows by at least 1 per unit of v, so a
+    position's lower-mass test, ``_lower_reach(v, ...) >= goal``, only gets easier as v grows.
+    """
+    end = bisect_left(neg_d, -v, j + 1)  # d[j + 1:end] are the parts above v
+    return v - (sums[end] - sums[j + 1] - (end - j - 1) * v)
 
 
 class _Memo:
@@ -291,41 +303,40 @@ class _SplitSearch:
     Every gap is scaled by ``w``: the scaled lower gaps f - t must pool to
     exactly |A| with no sorted prefix above A's, and the scaled upper gaps
     d - f likewise against B.  With ca and cb the unscaled lower and upper
-    gaps committed so far, position (i, j) of pair (d, t) tries the values
-    v from lo = max(t[j], d[j] - (|B|//w - cb)) up to hi = min(d[j], the
-    pair's previous value, t[j] + |A|//w - ca).  So every value keeps
-    w*ca <= |A| and w*cb <= |B|.  At the last position ``rest`` is 0 and the
-    pair has no later parts, so the two mass cuts below force w*ca >= |A| and
-    w*cb >= |B| there: every leaf the search reaches is a splitting.  A
-    search with no positions has no cuts, and ``run`` decides it before the
-    loop.
+    gaps committed so far, ca' and cb' those totals once v is committed at
+    position (i, j) of pair (d, t), and ``rest`` the gap total of all later
+    positions, the window's two bounds carry both mass tests:
 
-    A value tried costs one node and at most four checks, each O(1) Python
-    work or one pass inside C builtins.  Entering a pair's first part in a
-    state the memo holds (see the module docstring) charges the nodes of
-    that whole exhausted sub-search at once, and tries no value there.  The
-    checks, which act the same at every position:
+    * hi = min(d[j], the pair's previous value, t[j] + top - ca), where top
+      = min(|A|//w, G - ceil(|B|/w)) and G is the sum of all gaps.  Since
+      cb' + rest = G - ca', a value up to hi keeps w*ca' <= |A| and leaves
+      the upper gaps able to reach ceil(|B|/w);
+    * lo is max(t[j], d[j] - (|B|//w - cb)), which keeps w*cb' <= |B|,
+      raised to the least value whose lower gaps can still reach
+      ceil(|A|/w): ca' plus ``rest`` less the shortfall, since a later
+      position u of the same pair adds at most min(d[u], v) - t[u], because
+      f is a partition, and a later pair adds at most its gaps.
+      :func:`_lower_reach` gives the test in closed form.  It only gets
+      easier as v grows, so the entry value is tested first, and only if it
+      fails does a binary search over the rest of the window find the least
+      value that passes.
 
-    * upper mass: cb + (d[j] - v) plus ``rest``, the gap total of all later
-      positions, must reach ceil(|B|/w).  It only falls as v grows, so a
-      failure ends the window;
-    * lower mass: ca + (v - t[j]) plus what the later positions can still
-      add must reach ceil(|A|/w).  A later position u of the same pair adds
-      at most min(d[u], v) - t[u], because f is a partition; a later pair
-      adds at most its gaps.  That is ``rest`` minus the shortfall
-      sum(max(0, d[u] - v) for u > j), the sum of the parts after the v-th
-      of the conjugate of d's tail (d[j+1], d[j+2], ...).  d is
-      non-increasing, so its negated parts ``neg_d`` ascend, ``bisect``
-      applies, and the later parts above v are d[j+1:end] with ``end =
-      bisect_left(neg_d, -v, j + 1)``.  The shortfall is then
-      ``sums[end] - sums[j + 1] - (end - j - 1) * v`` over the pair's
-      prefix sums ``sums``: 0 once v >= d[j+1];
-    * lower and upper prefix: the committed gaps, sorted, must have every
-      top-r sum S at most ``pre_a[r]`` (``pre_b[r]``), A's (B's) r-th prefix
-      sum P floor-divided by w, since w*S <= P exactly when S <= P//w.  Ranks
-      past len(A) need no check, since their sums are at most ca <= |A|//w
-      (and cb <= |B|//w).  Both run as ``all(map(le, accumulate(...), pre))``.
-      The lower gap only grows with v, so a lower failure ends the window.
+    At the last position ``rest`` is 0 and the pair has no later parts, so
+    the window forces w*ca' == |A| and w*cb' == |B|: every leaf the search
+    reaches is a splitting.  A search with no positions has no window, and
+    ``run`` decides it before the loop.
+
+    A value tried costs one node and at most two checks, each one pass
+    inside C builtins.  Entering a pair's first part in a state the memo
+    holds (see the module docstring) charges the nodes of that whole
+    exhausted sub-search at once, and tries no value there.  The checks are
+    the lower and upper prefix, and they act the same at every position:
+    the committed gaps, sorted, must have every top-r sum S at most
+    ``pre_a[r]`` (``pre_b[r]``), A's (B's) r-th prefix sum P floor-divided
+    by w, since w*S <= P exactly when S <= P//w.  Ranks past len(A) need no
+    check, since their sums are at most ca <= |A|//w (and cb <= |B|//w).
+    Both run as ``all(map(le, accumulate(...), pre))``.  The lower gap only
+    grows with v, so a lower failure ends the window.
 
     :func:`search_trace_hash` passes a ``trace`` (a hashlib object), and
     ``run`` feeds it ``b"<position>:<value>;"`` for every node and
@@ -344,6 +355,7 @@ class _SplitSearch:
         self.pre_b = [prefix // w for prefix in accumulate(inst.B.parts)]
         self.limit_a, self.limit_b = self.total_a // w, self.total_b // w
         gaps = [dv - tv for d, t in pairs for dv, tv in zip(d, t)]
+        self.gap_total = sum(gaps)
         self.space_size = prod(gap + 1 for gap in gaps)
         rest_after = _sums_after(gaps)
         # One step per position: pair, index, d[j], t[j], later gaps, and two tables its pair's
@@ -361,8 +373,11 @@ class _SplitSearch:
         steps = self.steps
         num_positions = len(steps)
         total_a, total_b = self.total_a, self.total_b
-        limit_a, limit_b = self.limit_a, self.limit_b
+        limit_b = self.limit_b
         need_a, need_b = -(-total_a // w), -(-total_b // w)
+        # The lower gaps total at most |A|//w, and at most G - ceil(|B|/w), since what they leave
+        # of all the gaps G is what the upper gaps can reach.
+        top_a = min(self.limit_a, self.gap_total - need_b)
         pre_a, pre_b = self.pre_a, self.pre_b
         assigned = [list(t) for t in self.floors]
         lower_gaps: list[int] = []  # committed gaps, ascending
@@ -376,14 +391,14 @@ class _SplitSearch:
         # With no positions the only candidate is f = (), which splits only empty A and B.
         if not (num_positions or total_a == total_b == 0):
             return NO_SOLUTION, None, nodes
-        # Past the last position the clamps and its mass cuts have fixed both totals.
+        # Past the last position its window has fixed both totals.
         while pos_idx < num_positions:
             i, j, dj, tj, rest, neg_d, sums = steps[pos_idx]
             values = assigned[i]
             if value is None:
                 hi = values[j - 1] if j and values[j - 1] < dj else dj
-                if tj + limit_a - ca < hi:
-                    hi = tj + limit_a - ca
+                if tj + top_a - ca < hi:
+                    hi = tj + top_a - ca
                 value = dj - (limit_b - cb)
                 if value < tj:
                     value = tj
@@ -402,6 +417,18 @@ class _SplitSearch:
                             trace.update(b"%d=%d;" % (pos_idx, spent))
                         opened[pos_idx] = None
                         value = hi + 1
+                # Lower mass: ca' + rest less the shortfall must reach ceil(|A|/w).
+                goal = need_a - ca + tj - rest
+                if value <= hi and _lower_reach(value, j, neg_d, sums) < goal:
+                    # Start at the least value that passes, or at hi + 1 if none does.
+                    low, high = value + 1, hi + 1
+                    while low < high:
+                        mid = (low + high) // 2
+                        if _lower_reach(mid, j, neg_d, sums) < goal:
+                            low = mid + 1
+                        else:
+                            high = mid
+                    value = low
             if value > hi:
                 # The window is exhausted: undo the previous position and try its next value.
                 if not stack:
@@ -429,16 +456,6 @@ class _SplitSearch:
                 trace.update(b"%d:%d;" % (pos_idx, value))
             gap_lower = value - tj
             gap_upper = dj - value
-            ca2 = ca + gap_lower
-            cb2 = cb + gap_upper
-            if cb2 + rest < need_b:
-                # Larger values shrink the upper side further.
-                value = hi + 1
-                continue
-            end = bisect_left(neg_d, -value, j + 1)  # d[j + 1:end] are the parts above value
-            if ca2 + rest - (sums[end] - sums[j + 1] - (end - j - 1) * value) < need_a:
-                value += 1  # larger values can still reach the lower total
-                continue
             if gap_lower:
                 insort(lower_gaps, gap_lower)
                 if not all(map(le, accumulate(reversed(lower_gaps)), pre_a)):
@@ -456,7 +473,8 @@ class _SplitSearch:
                     continue
             values[j] = value
             stack.append((value, hi, ca, cb, gap_lower, gap_upper))
-            ca, cb = ca2, cb2
+            ca += gap_lower
+            cb += gap_upper
             pos_idx += 1
             value = None
         return FOUND, FCertificate(tuple(Partition(values) for values in assigned)), nodes

@@ -498,6 +498,17 @@ class TestInputsBeyondTheInterpreter:
         assert code == 0
         assert out["outcome"] == "found" and out["nodes"] == 1500
 
+    def test_a_wide_pair_exits_0(self, capsys, tmp_path):
+        # Premise true; trying every value below the splitting's 50000 would spend the budget.
+        instance = write(
+            tmp_path,
+            "wide-pair.json",
+            {"pairs": [{"d": [100000] * 30, "t": []}], "A": [100000] * 15, "B": [100000] * 15},
+        )
+        code, out = run(capsys, ["solve", "--mode", "lemma", "--instance", instance])
+        assert code == 0
+        assert (out["outcome"], out["nodes"]) == ("found", 30)
+
     def test_a_space_size_past_4300_digits_is_reported_in_hex(self, capsys, tmp_path):
         # 10 KB, premise true; the search box has (2**62 + 1)**240 points, 4,480 decimal digits,
         # past CPython's default limit for turning an int into decimal text.

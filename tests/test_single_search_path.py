@@ -114,8 +114,8 @@ class TestWorkersArgument:
 
 
 def upper_mass_cut_instance():
-    # B needs 2 but the only gap is 1, so the upper-mass bound cuts the first
-    # root value, and with it the whole root window.
+    # B needs 2 but the only gap is 1, so the window's top leaves the lower
+    # gaps at most 1 - 2 < 0: the root window is empty and no value is tried.
     return LemmaInstance(((Partition([1]), Partition()),), Partition([1]), Partition([2]))
 
 
@@ -145,16 +145,17 @@ class TestOneDescent:
     """Node counts, traces and zero-position solves that the single descent keeps."""
 
     @pytest.mark.parametrize(
-        "inst, trace",
+        "inst, nodes, trace",
         [
-            (upper_mass_cut_instance(), b"0:0;"),
-            (lower_prefix_cut_instance(), b"0:2;"),
+            (upper_mass_cut_instance(), 0, b""),
+            (lower_prefix_cut_instance(), 1, b"0:2;"),
         ],
         ids=["upper-mass", "lower-prefix"],
     )
-    def test_a_root_cut_ends_the_window(self, inst, trace):
+    def test_a_root_cut_ends_the_window(self, inst, nodes, trace):
+        # Upper mass bounds the window, so it ends it before any value is tried.
         report = solve_lemma(inst)
-        assert report.outcome == "none" and report.nodes == 1
+        assert report.outcome == "none" and report.nodes == nodes
         assert search_trace_hash(inst) == hashlib.sha256(trace).hexdigest()
 
     @pytest.mark.parametrize(
@@ -195,8 +196,13 @@ class TestOneDescent:
         [(0, "aborted", 0), (1, "none", 1), (2, "none", 1), (3, "none", 1)],
     )
     def test_budget_stops_at_a_root_cut(self, budget, outcome, nodes):
-        report = solve_lemma(upper_mass_cut_instance(), budget=budget)
+        report = solve_lemma(lower_prefix_cut_instance(), budget=budget)
         assert (report.outcome, report.nodes) == (outcome, nodes)
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3])
+    def test_an_empty_root_window_spends_no_budget(self, budget):
+        report = solve_lemma(upper_mass_cut_instance(), budget=budget)
+        assert (report.outcome, report.nodes) == ("none", 0)
 
     @pytest.mark.parametrize(
         "chain", [PolyChain(0, {Factor("x"): ()}), PolyChain(1, {})]

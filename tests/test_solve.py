@@ -391,21 +391,22 @@ class TestDirectMassWindow:
 class TestLongSearches:
     """Each search is a loop, so its depth is not bounded by the interpreter's recursion limit.
 
-    On d = 1^n the splitting search costs n + |A| nodes: at each of the first
-    |A| positions the lower-mass cut rejects the value 0 at once.  The short
-    case shows a wrong cut in well under a second.
+    On d = 1^n the splitting search costs n nodes: at each of the first |A|
+    positions the window starts at 1, the least value whose lower gaps can
+    still reach |A|, so no value is rejected.  The short case shows a wrong
+    cut in well under a second.
     """
 
     @pytest.mark.parametrize(
-        "n, a, b, nodes",
-        [(10, 5, 5, 15), (1500, 1500, 0, 1500), (2000, 1000, 1000, 3000)],
+        "n, a, b",
+        [(10, 5, 5), (1500, 1500, 0), (2000, 1000, 1000)],
         ids=["10", "1500", "2000"],
     )
-    def test_splitting_search_finds_a_long_instance(self, n, a, b, nodes):
+    def test_splitting_search_finds_a_long_instance(self, n, a, b):
         inst = lemma([((1,) * n, ())], (1,) * a, (1,) * b)
         assert inst.premise_holds
         report = solve_lemma(inst)
-        assert (report.outcome, report.nodes) == (FOUND, nodes)
+        assert (report.outcome, report.nodes) == (FOUND, n)
         assert report.certificate.fs == (Partition((1,) * a),)
 
     def test_direct_search_finds_a_long_instance(self):
@@ -414,6 +415,34 @@ class TestLongSearches:
         report = solve_theorem_direct(inst)
         assert (report.outcome, report.nodes) == (FOUND, 2000)
         assert report.certificate.beta == chain
+
+
+class TestWideParts:
+    """Mass bounds the window, so a wide part costs one node however far its window reaches.
+
+    On d = 100000^n, t = () with A = B = 100000^(n/2), every position's window starts at
+    50000, the least value whose lower gaps can still reach |A|, and that value is the
+    splitting's.  Trying the values below it one node each spends the default budget.
+    """
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_a_wide_pair_costs_one_node_per_position(self, n):
+        half = (100000,) * (n // 2)
+        report = solve_lemma(lemma([((100000,) * n, ())], half, half))
+        assert (report.outcome, report.nodes) == (FOUND, n)
+        assert report.certificate.fs == (Partition((50000,) * n),)
+
+    def test_parts_past_a_machine_word(self):
+        big = 10**30
+        report = solve_lemma(lemma([((big, big), ())], (big,), (big,)))
+        assert (report.outcome, report.nodes) == (FOUND, 2)
+        assert report.certificate.fs == (Partition((big // 2, big // 2)),)
+
+    def test_doubled_gaps_on_a_wide_pair(self):
+        half = Partition((200000,) * 15)
+        report = solve_scaled_k1(Partition((100000,) * 30), Partition(), half, half, 2)
+        assert (report.outcome, report.nodes) == (FOUND, 30)
+        assert report.certificate.fs == (Partition((50000,) * 30),)
 
 
 class TestTranslatedReport:

@@ -7,27 +7,29 @@ the default budget and at budget 7, and, for single-pair instances, the
 scaled search with w = 2 and 3.  Any change to the order, the pruning or the
 budget handling of the search changes the digest.
 
-The other tests check every search step and the shortfall it yields
-against brute-force sums, that the search's set-up allocates O(positions)
-however large or many the parts are, and the recorded outcome, certificate
-and node count of every deep-corpus instance.  The memo of exhausted
-sub-searches must keep reports exact at every budget, against a search
-whose memo never hits, also when it is cleared at its memory bound, and
-keep to that bound; clearing drops the deepest pairs' memos first, so a
-search that fills it often stays fast.  Its key is the position, the lower
-gap total and each side's residual bounds, so states whose committed gaps
-differ can share one entry.
+Mass is a bound of each window, not a per-node cut, so no node is a value
+that cannot reach both totals.  The other tests check every search step
+and the lower reach it yields against brute-force sums, that the search's
+set-up allocates O(positions) however large or many the parts are, and,
+for every deep-corpus instance, the outcome and certificate recorded in
+the corpus file and the node count pinned here, at most the recorded one.
+The memo of exhausted sub-searches must keep reports exact at every
+budget, against a search whose memo never hits, also when it is cleared at
+its memory bound, and keep to that bound; clearing drops the deepest
+pairs' memos first, so a search that fills it often stays fast.  Its key is
+the position, the lower gap total and each side's residual bounds, so
+states whose committed gaps differ can share one entry.
 """
 
 import hashlib
 import random
 import signal
 import tracemalloc
-from bisect import bisect_left
 from pathlib import Path
 
 from majorchain import (
     ABORTED,
+    FOUND,
     GeneratorConfig,
     InstanceGenerator,
     LemmaInstance,
@@ -38,18 +40,37 @@ from majorchain import (
     solve_scaled_k1,
 )
 from majorchain import solve
-from majorchain.solve import _SplitSearch
+from majorchain.solve import _lower_reach, _SplitSearch
 
 BUDGETS = (0, 1, 2, 5, 50, 10**6)
 
-# sha256 of the records below.  The traced search keeps the memo, so a trace hash lists each
-# memo hit where the search enters a state with the position, totals and residual bounds of an
-# exhausted one; every other field is that of the search without its memo.
-GOLDEN = "5827d91255e111f89f4cb59d3acbdcc1ddec8e36f67f849ea48e829a646f0039"
+# sha256 of the records below, recorded with both mass tests as bounds of the window.  The
+# traced search keeps the memo, so a trace hash lists each memo hit where the search enters a
+# state with the position, totals and residual bounds of an exhausted one; every other field is
+# that of the search without its memo.
+GOLDEN = "1d7d8714e5ca7b4c6faa5702b6e58359865842145cb81e8811e78b51c203c18c"
 
 # sha256 of (outcome, certificate, nodes) over the gap-256 instances below, recorded from the
-# search without the memo.
-WIDE_GAPS = "49dfef0e248015f4454d9f680cffc0b08a04ab14056c5cbb7db6ac61a97c8591"
+# search without the memo, with both mass tests as bounds of the window.
+WIDE_GAPS = "94249fdc4fcf0ab6ecade6e882cf1f551905e56bb781d83329b9668874f28b64"
+
+# Node counts of the 120 deep-corpus instances, in the corpus file's order.  The file records
+# the counts of a search that tried values which could no longer reach a mass total; each of
+# these is at most the recorded one, and more than 200.
+CORPUS_NODES = (
+    14744, 21803, 27026, 22879, 23554, 28320, 26416, 20864, 23409, 19076,
+    18463, 13884, 23985, 19813, 33548, 14098, 23132, 23800, 23236, 19996,
+    12737, 19609, 22771, 17565, 21332, 32645, 26725, 16039, 17480, 24038,
+    17545, 23974, 34038, 27265, 21869, 24299, 17674, 15973, 21165, 10149,
+    14886, 18377, 20230, 15593, 21346, 16878, 22815, 20256, 30188, 27730,
+    21635, 25902, 17841, 17524, 27656, 23636, 24186, 26861, 15801, 30606,
+    18197, 21238, 17695, 28493, 16737, 23839, 9953, 28913, 13574, 21393,
+    33646, 18402, 20957, 18608, 26101, 24596, 13516, 27673, 15527, 17139,
+    13428, 16752, 17404, 17013, 22740, 20703, 22624, 27449, 10816, 21174,
+    21999, 11461, 16140, 15440, 30275, 33762, 30314, 22109, 21953, 23434,
+    15036, 17320, 11608, 16314, 34519, 21751, 14980, 15400, 19159, 34988,
+    27193, 21950, 26296, 24184, 23571, 17716, 16059, 27201, 11951, 20751,
+)
 
 
 def random_partition(rng, max_len, max_part):
@@ -154,9 +175,7 @@ def test_shortfall_rows_match_brute_force():
             assert first[0] is neg_d and first[1] is sums
             # The search's closed form, for every value up to past d[0].
             for v in range(d.parts[0] + 2):
-                end = bisect_left(neg_d, -v, j + 1)
-                short = sums[end] - sums[j + 1] - (end - j - 1) * v
-                assert short == brute_shortfall(d.parts, j, v)
+                assert _lower_reach(v, j, neg_d, sums) == v - brute_shortfall(d.parts, j, v)
 
 
 def test_huge_parts_cost_no_set_up():
@@ -165,7 +184,7 @@ def test_huge_parts_cost_no_set_up():
         ((Partition([big, big]), Partition([])),), Partition([big]), Partition([big])
     )
     outcome, _, nodes = _SplitSearch(inst, 1).run(1000)
-    assert (outcome, nodes) == (ABORTED, 1000)
+    assert (outcome, nodes) == (FOUND, 2)
     # 5,000 positions: the set-up keeps one negated d and its prefix sums, not one per position.
     units = Partition([1] * 5000)
     inst = LemmaInstance(((units, Partition([])),), units, Partition([]))
@@ -178,23 +197,28 @@ def test_huge_parts_cost_no_set_up():
     assert peak < 8 * 2**20
 
 
-def test_deep_corpus_node_counts_are_the_recorded_ones():
+def corpus_records():
     corpus = Path(__file__).resolve().parents[1] / "bench" / "deep_corpus.json"
-    records = jsonio.load_json(corpus.read_text(encoding="utf-8"))["instances"]
-    assert len(records) == 120
-    for index, record in enumerate(records):
+    return jsonio.load_json(corpus.read_text(encoding="utf-8"))["instances"]
+
+
+def check_corpus_reports():
+    """Every corpus solve has the recorded outcome and certificate, and the pinned node count."""
+    records = corpus_records()
+    assert len(records) == len(CORPUS_NODES) == 120
+    for index, (record, nodes) in enumerate(zip(records, CORPUS_NODES)):
         report = solve_lemma(jsonio.parse_lemma_instance(record["instance"]))
         certificate = report.certificate and [list(f.parts) for f in report.certificate.fs]
         assert (report.outcome, certificate, report.nodes) == (
             record["outcome"],
             record["certificate"],
-            record["nodes"],
+            nodes,
         ), f"corpus instance {index}"
+        assert 200 < nodes <= record["nodes"], f"corpus instance {index}"
 
 
-def corpus_records():
-    corpus = Path(__file__).resolve().parents[1] / "bench" / "deep_corpus.json"
-    return jsonio.load_json(corpus.read_text(encoding="utf-8"))["instances"]
+def test_deep_corpus_node_counts_are_the_recorded_ones():
+    check_corpus_reports()
 
 
 def test_a_memo_hit_charges_the_budget_exactly():
@@ -258,9 +282,8 @@ def test_gaps_past_a_byte_change_no_report():
 def test_corpus_budget_sweep_is_exact():
     rng = random.Random(20261019)
     records = corpus_records()
-    for record in rng.sample(records, 3):
+    for record, n in rng.sample(list(zip(records, CORPUS_NODES)), 3):
         inst = jsonio.parse_lemma_instance(record["instance"])
-        n = record["nodes"]
         for budget in sorted({0, 1, n - 1, n, n + 1, *rng.sample(range(n), 4)}):
             report = solve_lemma(inst, budget=budget)
             if budget < n:
@@ -276,14 +299,7 @@ def test_corpus_budget_sweep_is_exact():
 
 def test_a_memo_cleared_at_its_bound_keeps_every_corpus_count(monkeypatch):
     monkeypatch.setattr(solve, "_MEMO_BYTES", 1024)
-    for index, record in enumerate(corpus_records()):
-        report = solve_lemma(jsonio.parse_lemma_instance(record["instance"]))
-        certificate = report.certificate and [list(f.parts) for f in report.certificate.fs]
-        assert (report.outcome, certificate, report.nodes) == (
-            record["outcome"],
-            record["certificate"],
-            record["nodes"],
-        ), f"corpus instance {index}"
+    check_corpus_reports()
 
 
 def traced_peak(inst, budget):
@@ -353,8 +369,9 @@ def test_the_memo_changes_no_report(monkeypatch):
 def test_equal_residual_bounds_share_a_memo_entry():
     # Position 2 opens the second pair.  After 0:1;1:1 the upper gaps are {1, 1}, after
     # 0:2;1:0 they are {2}: different multisets with the same totals (ca = 1, cb = 2), and with
-    # |B| = 3 both leave one unit at every rank, so the second state is a memo hit charging the
-    # 2 nodes of the first's exhausted sub-search.
+    # |B| = 3 both leave one unit at every rank, so the second state is a memo hit.  The gaps
+    # total 4, so the lower gaps may total at most 4 - |B| = 1, which ca already is, while
+    # |A| = 2 needs one more: the first state's window is empty and the hit charges its 0 nodes.
     inst = LemmaInstance(
         (
             (Partition([2, 2]), Partition([1])),
@@ -364,7 +381,7 @@ def test_equal_residual_bounds_share_a_memo_entry():
         Partition([2]),
         Partition([3]),
     )
-    trace = b"0:1;1:0;1:1;2:0;2:1;0:2;1:0;2=2;1:1;"
+    trace = b"0:1;1:1;0:2;1:0;2=0;"
     report = solve_lemma(inst)
-    assert (report.outcome, report.nodes) == ("none", 10)
+    assert (report.outcome, report.nodes) == ("none", 4)
     assert search_trace_hash(inst) == hashlib.sha256(trace).hexdigest()

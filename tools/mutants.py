@@ -1,10 +1,12 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
 Each of the 49 mutants is one exact text edit to one file under ``src/``:
-a search cut or clamp dropped or tightened, each monotone cut of the
-splitting search made to try the next value instead of ending the window,
-the splitting search's closed-form shortfall off by one part in its count
-or by one in its bisect's threshold, one bound of the direct search's
+a search cut or clamp dropped or tightened, the splitting search's
+lower-prefix cut made to try the next value instead of ending the window,
+its window's top kept to |A|//w alone, so that upper mass bounds nothing,
+its lower-mass clamp skipped or its binary search one value high, its
+closed-form shortfall off by one part in its count or by one in its
+bisect's threshold, one bound of the direct search's
 static window dropped, the splitting search's prefix table of A left
 unscaled, the
 splitting search's zero-position decision forced true, the splitting
@@ -84,34 +86,40 @@ ERRORS = "src/majorchain/errors.py"
 # (name, file, text, replacement): ``text`` must occur exactly once in ``file``.
 MUTANTS = (
     (
-        "split-upper-mass-cut-dropped",
+        "split-upper-mass-clamp-back-on-limit-a",
         SOLVE,
-        "            if cb2 + rest < need_b:\n",
-        "            if False:\n",
+        "        top_a = min(self.limit_a, self.gap_total - need_b)\n",
+        "        top_a = self.limit_a\n",
     ),
     (
-        "split-upper-mass-cut-tightened",
+        "split-upper-mass-clamp-one-tighter",
         SOLVE,
-        "            if cb2 + rest < need_b:\n",
-        "            if cb2 + rest <= need_b:\n",
+        "        top_a = min(self.limit_a, self.gap_total - need_b)\n",
+        "        top_a = min(self.limit_a, self.gap_total - need_b - 1)\n",
     ),
     (
-        "split-lower-mass-cut-dropped",
+        "split-lower-mass-clamp-skipped",
         SOLVE,
-        "            if ca2 + rest - (sums[end] - sums[j + 1] - (end - j - 1) * value) < need_a:\n",
-        "            if False:\n",
+        "if value <= hi and _lower_reach(value, j, neg_d, sums) < goal:",
+        "if False:",
+    ),
+    (
+        "split-lower-mass-search-one-value-high",
+        SOLVE,
+        "                    value = low\n",
+        "                    value = low + 1\n",
     ),
     (
         "split-shortfall-count-off-by-one",
         SOLVE,
-        "(end - j - 1) * value",
-        "(end - j) * value",
+        "(end - j - 1) * v)",
+        "(end - j) * v)",
     ),
     (
         "split-shortfall-bisect-skips-parts-one-above",
         SOLVE,
-        "bisect_left(neg_d, -value, j + 1)",
-        "bisect_left(neg_d, -value - 1, j + 1)",
+        "bisect_left(neg_d, -v, j + 1)",
+        "bisect_left(neg_d, -v - 1, j + 1)",
     ),
     (
         "split-lower-prefix-cut-dropped",
@@ -130,14 +138,6 @@ MUTANTS = (
         SOLVE,
         "if not all(map(le, accumulate(reversed(upper_gaps)), pre_b)):",
         "if False:",
-    ),
-    (
-        "split-upper-mass-break-to-continue",
-        SOLVE,
-        "                # Larger values shrink the upper side further.\n"
-        "                value = hi + 1\n",
-        "                # Larger values shrink the upper side further.\n"
-        "                value += 1\n",
     ),
     (
         "split-lower-prefix-break-to-continue",
