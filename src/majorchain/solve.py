@@ -13,32 +13,34 @@ position, so how many positions a search can have is bounded by memory,
 not by the interpreter's recursion limit.  Work is measured in nodes, one
 per candidate value tried at a position, so reports are machine
 independent.  When the node budget would be exceeded the search stops with
-an ``aborted`` outcome and ``nodes`` equal to the budget.  Both searches
-test mass only as bounds of each position's window, so every value tried
-can still bring the totals to what a solution needs.  The splitting
-search's only per-node cuts are its two prefix checks, and they act the
-same at every position, the first included: the lower one ends the window
-and the upper one tries the next value.  Each runs one scan against a
-table of floor(prefix/w) inside C builtins (see ``_SplitSearch``); they
-decide what the scaled sums would, so node counts and traces do not depend
-on how checks are made.
+an ``aborted`` outcome and ``nodes`` equal to the budget.  The splitting
+search first tests both gap totals, for 0 nodes: its scaled gaps pool to
+w*G, where G is the sum of all gaps, so it needs w*G == |A| + |B| and w
+dividing |A|.  Both searches then test mass only as bounds of each
+position's window, so every value tried can still bring the totals to
+what a solution needs.  The splitting search's only per-node cuts are its
+two prefix checks, and they act the same at every position, the first
+included: the lower one ends the window and the upper one tries the next
+value.  Each runs one scan against a table of floor(prefix/w) inside C
+builtins (see ``_SplitSearch``); they decide what the scaled sums would,
+so node counts and traces do not depend on how checks are made.
 
 The splitting search remembers the sub-searches it has exhausted.
 Majorization sees only the multiset of gaps, not which pair gave which
 gap, and a pair's first part is bounded by nothing of the earlier pairs
-but the gap totals ca and cb.  A later gap meets the committed lower gaps
-L only through the top-r sums they leave free.  With P(r) A's r-th prefix
-sum floor-divided by w, let R(j) be the least of |A|//w - ca and of
+but the lower gap total ca.  A later gap meets the committed lower gaps L
+only through the top-r sums they leave free.  With P(r) A's r-th prefix
+sum floor-divided by w, let R(j) be the least of |A|/w - ca and of
 P(k + j) - top_k(L) over k <= |L| with k + j <= len(A).  If L passes its
 own prefix checks, L plus later gaps X passes every later check exactly
 when top_j(X) <= R(j) for every j.  The cap changes no verdict, since the
-window clamp keeps every later gap total within |A|//w - ca; ranks past
-len(A) are never checked, and X has no more parts than positions to come,
-so R is kept up to the smaller of the two.  R never decreases, and it
-ends where it reaches its cap.  The upper side is the same against B and
-cb.  So once the search enters a pair's first part, what follows depends
-only on that position, on ca and cb, and on the two residual bounds; cb is
-fixed by ca there, since each position's two gaps add up to d[j] - t[j].
+window keeps every later gap total within |A|/w - ca; ranks past len(A)
+are never checked, and X has no more parts than positions to come, so R
+is kept up to the smaller of the two.  R never decreases, and it ends
+where it reaches its cap.  The upper side is the same against B, capped
+by what the lower gaps leave of the gaps to come.  So once the search
+enters a pair's first part, what follows depends only on that position,
+on ca and on the two residual bounds.
 A memo maps each such state whose sub-search was exhausted to the nodes it
 spent; entering a state with the same position, ca and bounds again
 charges those nodes and backtracks at once, or aborts with ``nodes`` equal
@@ -137,8 +139,8 @@ def _run(search, budget: int, workers: int) -> SolveReport:
 
     Every :class:`SolveReport` is built here from the search's ``(outcome,
     certificate, nodes)``.  ``workers`` is validated and otherwise ignored:
-    the search is sequential.  A search with no positions decides at once,
-    for 0 nodes.
+    the search is sequential.  A search with no positions, or a splitting
+    search whose gap totals fail, decides at once for 0 nodes.
     """
     _int_argument("budget", budget)
     _int_argument("workers", workers, minimum=1)
@@ -227,15 +229,15 @@ class _Memo:
         narrow = max(search.limit_a, search.limit_b, len(search.pre_a)) < 256
         self.pack, self.unit = (bytes, 1) if narrow else (tuple, 32)
 
-    def look_up(self, i, pos, ca, cb, lower_gaps, upper_gaps, stack):
+    def look_up(self, i, pos, ca, lower_gaps, upper_gaps, stack):
         """Key and stored nodes of the state entering pair i, or Nones where its pair has none."""
         self.known[i] = None
         if not self.entries[i]:
             return None, None
-        key = self.key(i, pos, ca, cb, lower_gaps, upper_gaps, stack)
+        key = self.key(i, pos, ca, lower_gaps, upper_gaps, stack)
         return key, self.entries[i].get(key)
 
-    def key(self, i, pos, ca, cb, lower_gaps, upper_gaps, stack):
+    def key(self, i, pos, ca, lower_gaps, upper_gaps, stack):
         """Key of the state at pair i's first part, at position ``pos``; sets ``known[i]``."""
         search, pack, known = self.search, self.pack, self.known
         caches = self.caches[i]
@@ -255,17 +257,21 @@ class _Memo:
             else:
                 (lower_base, upper_base), frames = known[back], stack[self.first[back] :]
             later = len(search.steps) - pos
+            # The upper gaps from pos on take what the lower ones leave of those positions' gaps.
+            _, _, dj, tj, rest, _, _ = search.steps[pos]
+            room_a = search.limit_a - ca
+            room_b = dj - tj + rest - room_a
             size = 0
             if lower is None:
-                gaps = sorted([frame[4] for frame in frames if frame[4]], reverse=True)
+                gaps = sorted([frame[3] for frame in frames if frame[3]], reverse=True)
                 width = min(later, len(search.pre_a))
-                lower = pack(_compose(lower_base, gaps, width, search.limit_a - ca))
+                lower = pack(_compose(lower_base, gaps, width, room_a))
                 lower_cache[lower_key] = lower
                 size += self.unit * (len(lower_key) + len(lower)) + 100
             if upper is None:
-                gaps = sorted([frame[5] for frame in frames if frame[5]], reverse=True)
+                gaps = sorted([frame[4] for frame in frames if frame[4]], reverse=True)
                 width = min(later, len(search.pre_b))
-                upper = pack(_compose(upper_base, gaps, width, search.limit_b - cb))
+                upper = pack(_compose(upper_base, gaps, width, room_b))
                 upper_cache[upper_key] = upper
                 size += self.unit * (len(upper_key) + len(upper)) + 100
             self.cached += size
@@ -302,29 +308,25 @@ class _SplitSearch:
 
     Every gap is scaled by ``w``: the scaled lower gaps f - t must pool to
     exactly |A| with no sorted prefix above A's, and the scaled upper gaps
-    d - f likewise against B.  With ca and cb the unscaled lower and upper
-    gaps committed so far, ca' and cb' those totals once v is committed at
-    position (i, j) of pair (d, t), and ``rest`` the gap total of all later
-    positions, the window's two bounds carry both mass tests:
+    d - f likewise against B.  ``run`` first tests the totals (see the
+    module docstring), so past it the lower gaps must total |A|/w and the
+    upper ones what they leave of all the gaps.  With no positions the
+    gaps total 0, so that test alone finds f = () exactly when |A| = |B| = 0.
 
-    * hi = min(d[j], the pair's previous value, t[j] + top - ca), where top
-      = min(|A|//w, G - ceil(|B|/w)) and G is the sum of all gaps.  Since
-      cb' + rest = G - ca', a value up to hi keeps w*ca' <= |A| and leaves
-      the upper gaps able to reach ceil(|B|/w);
-    * lo is max(t[j], d[j] - (|B|//w - cb)), which keeps w*cb' <= |B|,
-      raised to the least value whose lower gaps can still reach
-      ceil(|A|/w): ca' plus ``rest`` less the shortfall, since a later
-      position u of the same pair adds at most min(d[u], v) - t[u], because
-      f is a partition, and a later pair adds at most its gaps.
-      :func:`_lower_reach` gives the test in closed form.  It only gets
-      easier as v grows, so the entry value is tested first, and only if it
-      fails does a binary search over the rest of the window find the least
-      value that passes.
-
-    At the last position ``rest`` is 0 and the pair has no later parts, so
-    the window forces w*ca' == |A| and w*cb' == |B|: every leaf the search
-    reaches is a splitting.  A search with no positions has no window, and
-    ``run`` decides it before the loop.
+    With ca the unscaled lower gaps committed so far and ``rest`` the gap
+    total of the positions after position (i, j) of pair (d, t), the window
+    is one statement about the lower gap v - t[j]: ca plus it is at most
+    |A|/w, and at least |A|/w less what the later positions can add.  So v
+    runs up to hi = min(d[j], the pair's previous value, top), with top =
+    t[j] + |A|/w - ca, from max(t[j], top - rest), raised to the least value
+    whose lower gaps can still reach |A|/w: a later position u of the same
+    pair adds at most min(d[u], v) - t[u], because f is a partition.
+    :func:`_lower_reach` gives that test in closed form.  It only gets
+    easier as v grows, so the entry value is tested first, and only if it
+    fails does a binary search over the rest of the window find the least
+    value that passes.  At the last position ``rest`` is 0 and the pair has
+    no later parts, so v = top: every leaf the search reaches is a
+    splitting.
 
     A value tried costs one node and at most two checks, each one pass
     inside C builtins.  Entering a pair's first part in a state the memo
@@ -334,7 +336,7 @@ class _SplitSearch:
     the committed gaps, sorted, must have every top-r sum S at most
     ``pre_a[r]`` (``pre_b[r]``), A's (B's) r-th prefix sum P floor-divided
     by w, since w*S <= P exactly when S <= P//w.  Ranks past len(A) need no
-    check, since their sums are at most ca <= |A|//w (and cb <= |B|//w).
+    check, since their sums are at most the side's total, |A|/w or |B|/w.
     Both run as ``all(map(le, accumulate(...), pre))``.  The lower gap only
     grows with v, so a lower failure ends the window.
 
@@ -372,40 +374,36 @@ class _SplitSearch:
         trace = self.trace
         steps = self.steps
         num_positions = len(steps)
-        total_a, total_b = self.total_a, self.total_b
-        limit_b = self.limit_b
-        need_a, need_b = -(-total_a // w), -(-total_b // w)
-        # The lower gaps total at most |A|//w, and at most G - ceil(|B|/w), since what they leave
-        # of all the gaps G is what the upper gaps can reach.
-        top_a = min(self.limit_a, self.gap_total - need_b)
-        pre_a, pre_b = self.pre_a, self.pre_b
+        # The scaled gaps pool to w*G, and the scaled lower ones to a multiple of w.
+        if w * self.gap_total != self.total_a + self.total_b or self.total_a % w:
+            return NO_SOLUTION, None, 0
+        limit_a, pre_a, pre_b = self.limit_a, self.pre_a, self.pre_b
         assigned = [list(t) for t in self.floors]
         lower_gaps: list[int] = []  # committed gaps, ascending
         upper_gaps: list[int] = []
         memo = None  # made at the first store, since nothing can be looked up before it
         opened = [None] * num_positions  # (key, nodes before it) of each first part being searched
-        # One frame per committed position: its value, window top, ca and cb before it, and gaps.
+        # One frame per committed position: its value, window top, ca before it, and gaps.
         stack = []
-        nodes = pos_idx = ca = cb = 0
+        nodes = pos_idx = ca = 0
         value = None  # None until the window of the position just entered is computed
-        # With no positions the only candidate is f = (), which splits only empty A and B.
-        if not (num_positions or total_a == total_b == 0):
-            return NO_SOLUTION, None, nodes
         # Past the last position its window has fixed both totals.
         while pos_idx < num_positions:
             i, j, dj, tj, rest, neg_d, sums = steps[pos_idx]
             values = assigned[i]
             if value is None:
+                # The lower gap v - t[j] brings ca to at most |A|/w, and to at least |A|/w less
+                # what the later positions can add.
+                top = tj + limit_a - ca
                 hi = values[j - 1] if j and values[j - 1] < dj else dj
-                if tj + top_a - ca < hi:
-                    hi = tj + top_a - ca
-                value = dj - (limit_b - cb)
-                if value < tj:
-                    value = tj
+                if top < hi:
+                    hi = top
+                goal = top - rest
+                value = goal if goal > tj else tj
                 if not j:
                     key = spent = None
                     if memo is not None:
-                        key, spent = memo.look_up(i, pos_idx, ca, cb, lower_gaps, upper_gaps, stack)
+                        key, spent = memo.look_up(i, pos_idx, ca, lower_gaps, upper_gaps, stack)
                     if spent is None:
                         opened[pos_idx] = key, nodes
                     else:
@@ -417,8 +415,7 @@ class _SplitSearch:
                             trace.update(b"%d=%d;" % (pos_idx, spent))
                         opened[pos_idx] = None
                         value = hi + 1
-                # Lower mass: ca' + rest less the shortfall must reach ceil(|A|/w).
-                goal = need_a - ca + tj - rest
+                # Later positions of this pair add less than ``rest`` where they sit above v.
                 if value <= hi and _lower_reach(value, j, neg_d, sums) < goal:
                     # Start at the least value that passes, or at hi + 1 if none does.
                     low, high = value + 1, hi + 1
@@ -439,9 +436,9 @@ class _SplitSearch:
                     if memo is None:
                         memo = _Memo(self)
                     if key is None:
-                        key = memo.key(i, pos_idx, ca, cb, lower_gaps, upper_gaps, stack)
+                        key = memo.key(i, pos_idx, ca, lower_gaps, upper_gaps, stack)
                     memo.store(i, key, nodes - start)
-                value, hi, ca, cb, gap_lower, gap_upper = stack.pop()
+                value, hi, ca, gap_lower, gap_upper = stack.pop()
                 if gap_lower:
                     lower_gaps.remove(gap_lower)
                 if gap_upper:
@@ -472,9 +469,8 @@ class _SplitSearch:
                     value += 1  # larger values shrink this gap
                     continue
             values[j] = value
-            stack.append((value, hi, ca, cb, gap_lower, gap_upper))
+            stack.append((value, hi, ca, gap_lower, gap_upper))
             ca += gap_lower
-            cb += gap_upper
             pos_idx += 1
             value = None
         return FOUND, FCertificate(tuple(Partition(values) for values in assigned)), nodes

@@ -128,6 +128,17 @@ class TestSolve:
         code, payload = run(capsys, ["solve", "--mode", "lemma", "--instance", instance])
         assert code == 1 and payload["outcome"] == "none"
 
+    def test_unequal_gap_totals_exit_1_for_no_nodes(self, capsys, tmp_path):
+        # 90 pairs d = (2): the gaps total 180 where |A| + |B| = 150, so the root totals test
+        # decides the search, which would otherwise pass the default budget.
+        instance = write(
+            tmp_path,
+            "wide.json",
+            {"pairs": [{"d": [2], "t": []}] * 90, "A": [2] * 30 + [1] * 29, "B": [2] * 30 + [1]},
+        )
+        code, payload = run(capsys, ["solve", "--mode", "lemma", "--instance", instance])
+        assert code == 1 and payload["outcome"] == "none" and payload["nodes"] == 0
+
     def test_budget_exceeded_exits_3(self, capsys, tmp_path):
         instance = write(
             tmp_path,

@@ -114,8 +114,8 @@ class TestWorkersArgument:
 
 
 def upper_mass_cut_instance():
-    # B needs 2 but the only gap is 1, so the window's top leaves the lower
-    # gaps at most 1 - 2 < 0: the root window is empty and no value is tried.
+    # B needs 2 but the only gap is 1: the gaps total 1 where |A| + |B| = 3,
+    # so the root totals test decides the search and no value is tried.
     return LemmaInstance(((Partition([1]), Partition()),), Partition([1]), Partition([2]))
 
 
@@ -128,16 +128,16 @@ def lower_prefix_cut_instance():
 
 
 def memo_hit_instance():
-    # The 22-node instance whose last memo hit meets a budget of 22 exactly.
+    # The 31-node instance whose last memo hit meets a budget of 31 exactly.
     return LemmaInstance(
         (
             (Partition([3, 1]), Partition([1])),
-            (Partition([]), Partition([])),
-            (Partition([3, 2]), Partition([1, 1])),
-            (Partition([1]), Partition([])),
+            (Partition([2]), Partition([])),
+            (Partition([3, 2]), Partition([])),
+            (Partition([1]), Partition([1])),
         ),
         Partition([2]),
-        Partition([3, 1]),
+        Partition([3, 1, 1, 1, 1, 1]),
     )
 
 
@@ -153,7 +153,8 @@ class TestOneDescent:
         ids=["upper-mass", "lower-prefix"],
     )
     def test_a_root_cut_ends_the_window(self, inst, nodes, trace):
-        # Upper mass bounds the window, so it ends it before any value is tried.
+        # The totals test decides the first before any value is tried; the
+        # lower-prefix cut ends the second's root window after one value.
         report = solve_lemma(inst)
         assert report.outcome == "none" and report.nodes == nodes
         assert search_trace_hash(inst) == hashlib.sha256(trace).hexdigest()
@@ -163,25 +164,26 @@ class TestOneDescent:
         [
             (
                 10**6,
-                b"0:1;1:0;2:2;3:2;2:3;3:1;4=0;1:1;2:1;2:2;3:1;4=0;"
-                b"0:2;1:0;2=3;1:1;2:1;3:1;4=0;"
+                b"0:1;1:0;2:0;3:1;3:2;4:0;2:1;3:1;4:0;2:2;3:0;1:1;2:0;3:1;2:1;3=1;"
+                b"0:2;1:0;2:0;3=2;2:1;3:0;4:0;1:1;2:0;3=1;"
                 b"0:3;1:0;2=2;",
             ),
             (
-                21,
-                b"0:1;1:0;2:2;3:2;2:3;3:1;4=0;1:1;2:1;2:2;3:1;4=0;"
-                b"0:2;1:0;2=3;1:1;2:1;3:1;4=0;"
+                30,
+                b"0:1;1:0;2:0;3:1;3:2;4:0;2:1;3:1;4:0;2:2;3:0;1:1;2:0;3:1;2:1;3=1;"
+                b"0:2;1:0;2:0;3=2;2:1;3:0;4:0;1:1;2:0;3=1;"
                 b"0:3;1:0;",
             ),
         ],
         ids=["whole", "aborted"],
     )
     def test_a_memo_hit_costs_one_trace_entry(self, budget, trace):
-        # Positions 2 and 4 open the third and fourth pairs.  A state with the totals and
+        # Positions 2 and 3 open the second and third pairs.  A state with the totals and
         # residual bounds of one whose sub-search was exhausted is a memo hit: one
         # "<position>=<charged nodes>;" entry.  Some hits meet different committed gaps, as
-        # "4=0;" after 2:3;3:1 does.  At budget 21 the last hit, "2=2;", would pass the
-        # budget, so the search aborts without its entry.
+        # the first "3=1;" does: after 0:1;1:1;2:1 the lower gaps are {1, 1}, where after
+        # 0:1;1:0;2:2, whose sub-search it charges, they were {2}.  At budget 30 the last hit,
+        # "2=2;", would pass the budget, so the search aborts without its entry.
         report = solve_lemma(memo_hit_instance(), budget=budget)
         entries = trace.split(b";")[:-1]
         counted = sum(int(entry.partition(b"=")[2] or 1) for entry in entries)

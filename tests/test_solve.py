@@ -68,8 +68,9 @@ class TestSolveLemma:
 
     @pytest.mark.parametrize("A, B", [((1,), ()), ((), (1,)), ((2,), (1,))])
     def test_no_positions_and_a_nonempty_side_is_none_for_no_nodes(self, A, B):
-        # With no positions the search decides before its descent: only f = ()
-        # exists, and it splits nothing.  A budget of 0 shows that costs no node.
+        # With no positions the gaps total 0, so the root totals test decides the
+        # search: only f = () exists, and it splits nothing.  A budget of 0 shows
+        # that costs no node.
         report = solve_lemma(lemma([((), ())], A, B), budget=0)
         assert (report.outcome, report.certificate, report.nodes) == (NO_SOLUTION, None, 0)
 

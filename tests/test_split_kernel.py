@@ -7,9 +7,12 @@ the default budget and at budget 7, and, for single-pair instances, the
 scaled search with w = 2 and 3.  Any change to the order, the pruning or the
 budget handling of the search changes the digest.
 
-Mass is a bound of each window, not a per-node cut, so no node is a value
-that cannot reach both totals.  The other tests check every search step
-and the lower reach it yields against brute-force sums, that the search's
+The search first tests both gap totals: with G the sum of all gaps, it
+needs w*G == |A| + |B| and w dividing |A|, and decides any other instance
+as ``none`` for 0 nodes, which the oracles confirm on a seeded sample.
+Past that test mass is a bound of each window, not a per-node cut, so no
+node is a value that cannot reach both totals.  The other tests check
+every search step and the lower reach it yields against brute-force sums, that the search's
 set-up allocates O(positions) however large or many the parts are, and,
 for every deep-corpus instance, the outcome and certificate recorded in
 the corpus file and the node count pinned here, at most the recorded one.
@@ -30,6 +33,7 @@ from pathlib import Path
 from majorchain import (
     ABORTED,
     FOUND,
+    NO_SOLUTION,
     GeneratorConfig,
     InstanceGenerator,
     LemmaInstance,
@@ -38,21 +42,24 @@ from majorchain import (
     search_trace_hash,
     solve_lemma,
     solve_scaled_k1,
+    weight,
 )
 from majorchain import solve
 from majorchain.solve import _lower_reach, _SplitSearch
 
+from helpers import oracle_lemma_solutions, oracle_scaled_solutions
+
 BUDGETS = (0, 1, 2, 5, 50, 10**6)
 
-# sha256 of the records below, recorded with both mass tests as bounds of the window.  The
-# traced search keeps the memo, so a trace hash lists each memo hit where the search enters a
-# state with the position, totals and residual bounds of an exhausted one; every other field is
-# that of the search without its memo.
-GOLDEN = "1d7d8714e5ca7b4c6faa5702b6e58359865842145cb81e8811e78b51c203c18c"
+# sha256 of the records below, recorded with both gap totals tested at the root and mass as
+# bounds of the window.  The traced search keeps the memo, so a trace hash lists each memo hit
+# where the search enters a state with the position, lower total and residual bounds of an
+# exhausted one; every other field is that of the search without its memo.
+GOLDEN = "8ded45080af79197cea1a066eca7773f4f8fe91a2b0bf17d63c8021de7b84e68"
 
 # sha256 of (outcome, certificate, nodes) over the gap-256 instances below, recorded from the
-# search without the memo, with both mass tests as bounds of the window.
-WIDE_GAPS = "94249fdc4fcf0ab6ecade6e882cf1f551905e56bb781d83329b9668874f28b64"
+# search without the memo, with both gap totals tested at the root.
+WIDE_GAPS = "ecdaa18a085dc088948ddb12c1e67e3f13bc45db221bf603a5155097194b04d5"
 
 # Node counts of the 120 deep-corpus instances, in the corpus file's order.  The file records
 # the counts of a search that tried values which could no longer reach a mass total; each of
@@ -149,6 +156,77 @@ def test_explored_tree_is_pinned():
     assert digest.hexdigest() == GOLDEN
 
 
+def near_miss(rng, w):
+    """A small instance whose A and B pool w times a splitting's gaps, then one unit moved.
+
+    The unit goes into or out of A or B, which breaks w*G == |A| + |B|, or from B to A, which
+    keeps the sum and, for w >= 2, breaks w dividing |A|.
+    """
+    pairs = []
+    lower, upper = [], []
+    for _ in range(1 if w > 1 else rng.randint(1, 2)):
+        d = random_partition(rng, 3, 4)
+        t = []
+        for part in d:
+            t.append(min(rng.randint(0, part), t[-1] if t else part))
+        f = []
+        for dv, tv in zip(d, t):
+            f.append(rng.randint(tv, min(dv, f[-1] if f else dv)))
+        lower += [w * (fv - tv) for fv, tv in zip(f, t)]
+        upper += [w * (dv - fv) for dv, fv in zip(d, f)]
+        pairs.append((Partition(d), Partition(t)))
+    sides = [[g for g in lower if g], [g for g in upper if g]]
+    move = rng.choice(("in", "out", "across"))
+    if move == "across":
+        if sides[1]:
+            sides[1][rng.randrange(len(sides[1]))] -= 1
+            sides[0].append(1)
+    else:
+        side = sides[rng.randrange(2)]
+        if move == "in" or not side:
+            side.append(1)
+        else:
+            side[rng.randrange(len(side))] -= 1
+    A, B = (Partition(sorted((g for g in side if g), reverse=True)) for side in sides)
+    return tuple(pairs), A, B
+
+
+def test_the_totals_test_rejects_only_instances_without_a_splitting():
+    # Every instance the root test rejects is "none" for 0 nodes, and the oracles, which
+    # enumerate every candidate splitting, find none either: at w = 1 over 1-2 pairs, and for
+    # the scaled search at w = 2 and 3 over one pair, where a unit moved from B to A breaks only
+    # the divisibility half.
+    rng = random.Random(20261027)
+    rejected = {1: 0, 2: 0, 3: 0}
+    across = 0
+    for _ in range(1200):
+        w = rng.choice((1, 2, 3))
+        pairs, A, B = near_miss(rng, w)
+        gaps = sum(weight(d) - weight(t) for d, t in pairs)
+        if w * gaps == weight(A) + weight(B) and weight(A) % w == 0:
+            continue
+        rejected[w] += 1
+        across += w * gaps == weight(A) + weight(B)
+        if w == 1:
+            inst = LemmaInstance(pairs, A, B)
+            report, solutions = solve_lemma(inst), oracle_lemma_solutions(inst)
+        else:
+            (d, t), = pairs
+            report = solve_scaled_k1(d, t, A, B, w)
+            solutions = oracle_scaled_solutions(d, t, A, B, w)
+        assert solutions == []
+        assert (report.outcome, report.certificate, report.nodes) == (NO_SOLUTION, None, 0)
+    assert min(rejected.values()) > 200 and across > 100
+
+
+def test_a_side_total_that_w_does_not_divide_is_none_for_no_nodes():
+    # 2 * G = 12 = |A| + |B|, but |A| = 5 is odd, so no scaled lower gaps pool to it.
+    report = solve_scaled_k1(
+        Partition([2, 2, 2]), Partition([]), Partition([3, 2]), Partition([3, 2, 2]), 2
+    )
+    assert (report.outcome, report.certificate, report.nodes) == (NO_SOLUTION, None, 0)
+
+
 def brute_shortfall(d, j, v):
     return sum(max(0, d[u] - v) for u in range(j + 1, len(d)))
 
@@ -226,25 +304,26 @@ def test_a_memo_hit_charges_the_budget_exactly():
     inst = LemmaInstance(
         (
             (Partition([3, 1]), Partition([1])),
-            (Partition([]), Partition([])),
-            (Partition([3, 2]), Partition([1, 1])),
-            (Partition([1]), Partition([])),
+            (Partition([2]), Partition([])),
+            (Partition([3, 2]), Partition([])),
+            (Partition([1]), Partition([1])),
         ),
         Partition([2]),
-        Partition([3, 1]),
+        Partition([3, 1, 1, 1, 1, 1]),
     )
-    for budget, expected in ((10**6, ("none", 22)), (22, ("none", 22)), (21, ("aborted", 21))):
+    for budget, expected in ((10**6, ("none", 31)), (31, ("none", 31)), (30, ("aborted", 30))):
         report = solve_lemma(inst, budget=budget)
         assert (report.outcome, report.nodes) == expected, budget
 
 
 def test_a_full_memo_keeps_the_pairs_nearest_the_root():
-    # n = 90 single-part pairs, premise false: the exhaustive search fills the memo many times.
-    # Clearing every pair's memo, or the pairs nearest the root first, takes 18 s of CPU or more.
+    # n = 90 single-part pairs whose gaps total |A| + |B|: the search fills the memo several
+    # times before it finds a splitting.  Clearing every pair's memo, or the pairs nearest the
+    # root first, takes 20 s of CPU or more.
     inst = LemmaInstance(
         tuple((Partition([2]), Partition([])) for _ in range(90)),
-        Partition([2] * 30 + [1] * 29),
-        Partition([2] * 30 + [1]),
+        Partition([2] * 30 + [1] * 59),
+        Partition([2] * 15 + [1] * 31),
     )
 
     def out_of_time(signum, frame):
@@ -257,7 +336,7 @@ def test_a_full_memo_keeps_the_pairs_nearest_the_root():
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
-    assert (report.outcome, report.nodes) == ("none", 5513760127114071328130746272775155)
+    assert (report.outcome, report.nodes) == ("found", 751021968499070860610474780825103)
 
 
 def test_gaps_past_a_byte_change_no_report():
@@ -367,21 +446,22 @@ def test_the_memo_changes_no_report(monkeypatch):
 
 
 def test_equal_residual_bounds_share_a_memo_entry():
-    # Position 2 opens the second pair.  After 0:1;1:1 the upper gaps are {1, 1}, after
-    # 0:2;1:0 they are {2}: different multisets with the same totals (ca = 1, cb = 2), and with
-    # |B| = 3 both leave one unit at every rank, so the second state is a memo hit.  The gaps
-    # total 4, so the lower gaps may total at most 4 - |B| = 1, which ca already is, while
-    # |A| = 2 needs one more: the first state's window is empty and the hit charges its 0 nodes.
+    # Position 2 opens the third pair, d = (3).  After 0:0;1:2 the upper gaps are {3, 1}, after
+    # 0:1;1:1 they are {2, 2}: different multisets with the same totals (ca = 1, four upper
+    # units), and against B's prefix sums 3, 4, 5 both leave room for one more unit at the top
+    # rank, so the second state is a memo hit.  The lower gaps have reached |A| = 1, so the first
+    # state's window holds only 2:0, whose upper gap 3 breaks B's second prefix: the hit
+    # charges that 1 node.
     inst = LemmaInstance(
         (
-            (Partition([2, 2]), Partition([1])),
-            (Partition([1]), Partition([])),
-            (Partition([]), Partition([])),
+            (Partition([3]), Partition([])),
+            (Partition([3]), Partition([1])),
+            (Partition([3]), Partition([])),
         ),
-        Partition([2]),
-        Partition([3]),
+        Partition([1]),
+        Partition([3, 1, 1, 1, 1]),
     )
-    trace = b"0:1;1:1;0:2;1:0;2=0;"
+    trace = b"0:0;1:1;1:2;2:0;0:1;1:1;2=1;"
     report = solve_lemma(inst)
-    assert (report.outcome, report.nodes) == ("none", 4)
+    assert (report.outcome, report.nodes) == ("none", 7)
     assert search_trace_hash(inst) == hashlib.sha256(trace).hexdigest()

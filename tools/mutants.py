@@ -1,18 +1,17 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each of the 49 mutants is one exact text edit to one file under ``src/``:
-a search cut or clamp dropped or tightened, the splitting search's
-lower-prefix cut made to try the next value instead of ending the window,
-its window's top kept to |A|//w alone, so that upper mass bounds nothing,
-its lower-mass clamp skipped or its binary search one value high, its
-closed-form shortfall off by one part in its count or by one in its
-bisect's threshold, one bound of the direct search's
-static window dropped, the splitting search's prefix table of A left
-unscaled, the
-splitting search's zero-position decision forced true, the splitting
-backtrack keeping the popped lower gap, the splitting search's memo keyed
-without the upper bounds (as bytes or as a tuple) or without the lower
-total, its residual bounds composed one rank off, trimmed below their
+Each of the 50 mutants is one exact text edit to one file under ``src/``:
+a search cut or clamp dropped or tightened, the splitting search's root
+totals test dropped, or kept without its divisibility half or without
+the factor w, its lower-prefix cut made to try the next value instead of
+ending the window, its lower-mass clamp skipped or its binary search one
+value high, its closed-form shortfall off by one part in its count or by
+one in its bisect's threshold, one bound of the direct search's static
+window dropped, the splitting search's prefix table of A left unscaled,
+the splitting backtrack keeping the popped lower gap, the splitting
+search's memo keyed without the upper bounds (as bytes or as a tuple) or
+without the lower total, its upper room derived one unit off, its
+residual bounds composed one rank off, trimmed below their
 room or composed from an earlier pair's stale bounds, charging one node
 less per hit, aborting when a hit meets the budget exactly, left out of
 the trace or cleared from the root pair down, the direct backtrack not
@@ -86,16 +85,23 @@ ERRORS = "src/majorchain/errors.py"
 # (name, file, text, replacement): ``text`` must occur exactly once in ``file``.
 MUTANTS = (
     (
-        "split-upper-mass-clamp-back-on-limit-a",
+        "split-totals-test-dropped",
         SOLVE,
-        "        top_a = min(self.limit_a, self.gap_total - need_b)\n",
-        "        top_a = self.limit_a\n",
+        "        if w * self.gap_total != self.total_a + self.total_b or self.total_a % w:\n"
+        "            return NO_SOLUTION, None, 0\n",
+        "",
     ),
     (
-        "split-upper-mass-clamp-one-tighter",
+        "split-totals-test-drops-divisibility",
         SOLVE,
-        "        top_a = min(self.limit_a, self.gap_total - need_b)\n",
-        "        top_a = min(self.limit_a, self.gap_total - need_b - 1)\n",
+        "if w * self.gap_total != self.total_a + self.total_b or self.total_a % w:",
+        "if w * self.gap_total != self.total_a + self.total_b:",
+    ),
+    (
+        "split-totals-test-unscaled",
+        SOLVE,
+        "if w * self.gap_total != ",
+        "if self.gap_total != ",
     ),
     (
         "split-lower-mass-clamp-skipped",
@@ -148,12 +154,6 @@ MUTANTS = (
         "                    value += 1\n",
     ),
     (
-        "split-zero-positions-decided-true",
-        SOLVE,
-        "total_a == total_b == 0",
-        "True",
-    ),
-    (
         "split-backtrack-keeps-popped-lower-gap",
         SOLVE,
         "                if gap_lower:\n                    lower_gaps.remove(gap_lower)\n",
@@ -176,6 +176,12 @@ MUTANTS = (
         SOLVE,
         "return (ca, len(lower), *lower, *upper)",
         "return (ca, len(lower), *lower)",
+    ),
+    (
+        "split-memo-upper-room-off-by-one",
+        SOLVE,
+        "            room_b = dj - tj + rest - room_a\n",
+        "            room_b = dj - tj + rest - room_a - 1\n",
     ),
     (
         "split-memo-bounds-composed-one-rank-off",
