@@ -11,18 +11,22 @@ Exit codes, mutually exclusive:
 
 * 0: success (verified, found, translated, identity holds, reproduced);
 * 1: verification failed or nothing found;
-* 2: malformed input, or input a solver cannot handle (``--weight`` outside
-  single-pair splitting instances, or a chain-completion instance with a
-  factor of degree 2 or more given to ``translate``, or to ``solve`` when
-  its premises hold: the translation needs degree-1 factors);
+* 2: malformed input, input too large to process (a ``MemoryError``, such
+  as ``identity`` on exponents near 2^62), or input a solver cannot handle
+  (``--weight`` outside single-pair splitting instances, or a
+  chain-completion instance with a factor of degree 2 or more given to
+  ``translate``, or to ``solve`` when its premises hold: the translation
+  needs degree-1 factors);
 * 3: node budget exceeded;
 * 4: contradiction tripwire: a premise-satisfying instance with no
   solution, which the existence theorem rules out.  A bug-report artifact
   is written to ``--report-dir`` (the working directory by default); when
   it cannot be written, the stderr line says why and the code is still 4.
 
-The argument parser is built once per process, on the first dispatch, and
-reused by every later ``cli_dispatch`` call; see ``_build_parser``.
+The argument parsers are built once per process, on the first dispatch,
+and reused by every later ``cli_dispatch`` call, which hands argv to the
+named subcommand's parser directly; see ``_build_parser`` and
+``cli_dispatch``.
 """
 
 from __future__ import annotations
@@ -213,16 +217,16 @@ def _cmd_repro_counterexample(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Return the process's one parser, built on the first call.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """Return the process's one parser and its subcommand parsers by name, built on the first call.
 
-    Building it costs about 15 times as much as parsing one argv with it, so
+    Building them costs about 15 times as much as parsing one argv, so
     in-process callers of ``cli_dispatch`` would otherwise pay mostly for
-    argparse.  Reuse is safe: ``parse_args`` fills a fresh ``Namespace`` on
-    each call and leaves the parser unchanged; the handlers it names look up
+    argparse.  Reuse is safe: parsing fills a fresh ``Namespace`` on each
+    call and leaves the parsers unchanged; the handlers they name look up
     module globals when they run; and help and usage text is formatted when
-    printed, to the ``sys.stdout`` or ``sys.stderr`` of that moment, under the
-    fixed ``prog``.
+    printed, to the ``sys.stdout`` or ``sys.stderr`` of that moment, under
+    the fixed ``prog``.
     """
     parser = argparse.ArgumentParser(
         prog="majorchain",
@@ -294,14 +298,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N")
     p_repro.set_defaults(handler=_cmd_repro_counterexample)
 
-    return parser
+    return parser, sub.choices
 
 
 def cli_dispatch(argv=None) -> int:
-    """Parse arguments, run the subcommand, and return the exit code."""
-    parser = _build_parser()
+    """Parse arguments, run the subcommand, and return the exit code.
+
+    An argv that starts with a subcommand name goes straight to that
+    subcommand's parser, and arguments it does not know are reported by the
+    top-level parser, as argparse's own subcommand dispatch does, with the
+    same output.  That skips argparse's top-level scan of the whole argv,
+    which cost more than the subcommand's parse.  Any other argv (``-h``, an
+    empty argv, an unknown command) goes to the top-level parser.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the input-error code.
         return EXIT_INPUT if exc.code else EXIT_OK
@@ -309,6 +328,10 @@ def cli_dispatch(argv=None) -> int:
         return args.handler(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
+        return EXIT_INPUT
+    except MemoryError:
+        # Until input size is bounded before any work, an input too large to process is malformed.
+        sys.stderr.write("input error: the input is too large to process (out of memory)\n")
         return EXIT_INPUT
     except (PremiseViolation, ConclusionViolation) as exc:
         sys.stderr.write(f"verification failed: {exc}\n")

@@ -562,6 +562,30 @@ class TestInputsBeyondTheInterpreter:
         assert captured.err.endswith(f" exceeds the maximum {jsonio.MAX_PART}\n")
         assert captured.err.count("\n") == 1
 
+    def test_exponents_too_large_to_expand_exit_2(self, capsys, tmp_path):
+        # About 200 bytes of valid input: the factor-local route expands delta's factor
+        # partition, 2**62 parts, which cannot be allocated.
+        big = 2**62
+        instance = write(
+            tmp_path,
+            "huge-exponents.json",
+            {
+                "delta": {
+                    "length": 1,
+                    "factors": [{"label": "x", "degree": 1, "exponents": [big]}],
+                },
+                "epsilon": {
+                    "length": 2,
+                    "factors": [{"label": "x", "degree": 1, "exponents": [0, big]}],
+                },
+            },
+        )
+        code = cli_dispatch(["identity", "--instance", instance])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -632,16 +656,32 @@ class TestParserReuse:
         assert reused[10][1] != reused[11][1]
 
     def test_dispatches_share_one_parser(self, capsys, monkeypatch):
+        # parse_args runs through parse_known_args, so this records every parser that parses.
         parsers = []
-        parse_args = argparse.ArgumentParser.parse_args
+        parse_known_args = argparse.ArgumentParser.parse_known_args
 
         def recording(parser, *args, **kwargs):
             parsers.append(parser)
-            return parse_args(parser, *args, **kwargs)
+            return parse_known_args(parser, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
-        for argv in (["gen", "--seed", "1"], ["frobnicate"], ["repro-counterexample"]):
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+        for argv in (["gen", "--seed", "1"], ["frobnicate"], ["repro-counterexample"]) * 2:
             cli_dispatch(argv)
         capsys.readouterr()
-        assert len(parsers) == 3
-        assert parsers[0] is parsers[1] is parsers[2] is cli._build_parser()
+        parser, commands = cli._build_parser()
+        expected = [commands["gen"], parser, commands["repro-counterexample"]] * 2
+        assert len(parsers) == len(expected)
+        assert all(used is built for used, built in zip(parsers, expected))
+
+    def test_unknown_arguments_get_the_top_level_usage(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        instance = write(tmp_path, "lemma.json", {"pairs": [], "A": [], "B": []})
+        code = cli_dispatch(["check", "--mode", "lemma", "--instance", instance, "--extra"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "usage: majorchain [-h]\n"
+            "                  {check,solve,translate,identity,gen,repro-counterexample}\n"
+            "                  ...\n"
+            "majorchain: error: unrecognized arguments: --extra\n"
+        )

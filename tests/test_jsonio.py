@@ -1,6 +1,9 @@
+import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from majorchain import (
     BetaCertificate,
@@ -249,3 +252,111 @@ class TestContradictionArtifact:
         assert time.process_time() - start < 1
         assert solve_lemma(inst, budget=10**13).found
         assert len(search_trace_hash(inst, budget=10**13)) == 64
+
+
+# Each fault with the message the per-element checks give, recorded from the parser as it was
+# before the one-pass array check; that check must leave every message and path unchanged.
+ELEMENT_FAULTS = [
+    (True, "expected an integer, got True"),
+    (2.5, "expected an integer, got 2.5"),
+    ("3", "expected an integer, got '3'"),
+    (None, "expected an integer, got None"),
+    ([1], "expected an integer, got [1]"),
+    (-1, "-1 is below the minimum 0"),
+    (2**63, "9223372036854775808 exceeds the maximum 9223372036854775807"),
+]
+# First, a middle and the last position of a five-item array.
+POSITIONS = (0, 2, 4)
+
+
+def exponent_error(exponents):
+    """The error for a chain whose second factor has ``exponents``."""
+    chain = {
+        "length": 5,
+        "factors": [
+            {"label": "x", "degree": 1, "exponents": [0] * 5},
+            {"label": "y", "degree": 1, "exponents": exponents},
+        ],
+    }
+    with pytest.raises(InputError) as err:
+        jsonio.parse_chain(chain, "$.alpha")
+    return str(err.value)
+
+
+class TestParseErrorParity:
+    @pytest.mark.parametrize("pos", POSITIONS)
+    @pytest.mark.parametrize("value, message", ELEMENT_FAULTS)
+    def test_partition_element_fault(self, value, message, pos):
+        parts = [5, 4, 3, 2, 1]
+        parts[pos] = value
+        with pytest.raises(InputError) as err:
+            jsonio.parse_partition(parts, "$.A")
+        assert str(err.value) == f"$.A[{pos}]: {message}"
+
+    @pytest.mark.parametrize(
+        "parts, expected",
+        [
+            ([5, 6, 3, 2, 1], "$.A[1]: 6 exceeds the previous part 5"),
+            ([5, 4, 5, 2, 1], "$.A[2]: 5 exceeds the previous part 4"),
+            ([5, 4, 3, 2, 3], "$.A[4]: 3 exceeds the previous part 2"),
+        ],
+    )
+    def test_partition_order_break(self, parts, expected):
+        with pytest.raises(InputError) as err:
+            jsonio.parse_partition(parts, "$.A")
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize("pos", POSITIONS)
+    @pytest.mark.parametrize("value, message", ELEMENT_FAULTS)
+    def test_exponent_element_fault(self, value, message, pos):
+        exponents = [1, 2, 3, 4, 5]
+        exponents[pos] = value
+        assert exponent_error(exponents) == f"$.alpha.factors[1].exponents[{pos}]: {message}"
+
+    @pytest.mark.parametrize(
+        "exponents, pos, value, previous",
+        [
+            ([1, 0, 3, 4, 5], 1, 0, 1),
+            ([1, 2, 1, 4, 5], 2, 1, 2),
+            ([1, 2, 3, 4, 3], 4, 3, 4),
+        ],
+    )
+    def test_exponent_order_break(self, exponents, pos, value, previous):
+        assert exponent_error(exponents) == (
+            f"$.alpha.factors[1].exponents[{pos}]: {value} is below the previous exponent "
+            f"{previous}; chain entries must divide their successors"
+        )
+
+
+ODD_TEXT = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7f \u00e9\u2028\U0001f600') | st.characters())
+WIRE_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**4299, -(10**4300 - 1)])
+    | ODD_TEXT
+)
+WIRE_TREES = st.recursive(
+    WIRE_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=4)
+    | st.dictionaries(ODD_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestWriter:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(WIRE_TREES)
+    @example([])
+    @example({"a": [[], {}, ()], "": {"b": [{}]}})
+    @example([True, 1, False, 0])
+    @example({"\u00e9\"\n": [10**4299, -1]})
+    def test_matches_json_indented(self, tree):
+        assert jsonio.dumps(tree) == json.dumps(tree, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, [{"a": 0.5}]])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            jsonio.dumps(value)

@@ -1,6 +1,6 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each of the 50 mutants is one exact text edit to one file under ``src/``:
+Each of the 57 mutants is one exact text edit to one file under ``src/``:
 a search cut or clamp dropped or tightened, the splitting search's root
 totals test dropped, or kept without its divisibility half or without
 the factor w, its lower-prefix cut made to try the next value instead of
@@ -20,7 +20,11 @@ test of ``majorizes`` dropped, the translation's conjugate counting the
 parts equal to i as above i (``bisect_right`` at i - 1, which is
 ``bisect_left`` at i on integers) or its embedding of a conjugate into a
 chain one position off, a condition of the CLI's contradiction
-tripwire dropped, an exception class no longer caught, the
+tripwire dropped, an exception class no longer caught, the CLI's
+direct dispatch ignoring the arguments a subcommand's parser leaves, the
+JSON parsers' one-pass array check without its order test (in each
+parser), without its ``MAX_PART`` end or admitting bools, the JSON
+writer not growing the indent of a nested value, the
 integer-argument rule made to accept bools, the records' equality narrowed
 to their first field and their assignment guard dropped, the sampler's
 unit transfer allowed between equal parts.  For each one the
@@ -59,7 +63,7 @@ COPIED = ("src", "tests", "demos", "bench", "pyproject.toml")
 SKIPPED_MODULES = {"test_acceptance.py", "test_mutant_list.py"}
 # Modules that kill most mutants, run first so a kill comes early; the rest follow by name.
 # The splitting-search kernel takes about 20 s, so it runs after the quick modules that kill the
-# direct-search, verifier and CLI mutants.
+# direct-search, verifier, CLI and JSON mutants.
 FIRST_MODULES = (
     "test_import_footprint.py",
     "test_argument_rules.py",
@@ -72,6 +76,7 @@ FIRST_MODULES = (
     "test_partitions.py",
     "test_conjugation.py",
     "test_cli.py",
+    "test_jsonio.py",
     "test_split_kernel.py",
 )
 # The unmutated copy runs the whole suite; a mutant run is stopped at the gate.
@@ -81,6 +86,8 @@ GATE_S = 60
 SOLVE = "src/majorchain/solve.py"
 INSTANCES = "src/majorchain/instances.py"
 ERRORS = "src/majorchain/errors.py"
+CLI = "src/majorchain/cli.py"
+JSONIO = "src/majorchain/jsonio.py"
 
 # (name, file, text, replacement): ``text`` must occur exactly once in ``file``.
 MUTANTS = (
@@ -349,21 +356,63 @@ MUTANTS = (
     ),
     (
         "cli-tripwire-premise-test-dropped",
-        "src/majorchain/cli.py",
+        CLI,
         "    if args.weight is not None or not inst.premise_holds:\n",
         "    if args.weight is not None:\n",
     ),
     (
         "cli-tripwire-on-weighted-none",
-        "src/majorchain/cli.py",
+        CLI,
         "    if args.weight is not None or not inst.premise_holds:\n",
         "    if not inst.premise_holds:\n",
     ),
     (
         "cli-dispatch-valueerror-not-caught",
-        "src/majorchain/cli.py",
+        CLI,
         "    except (MajorchainError, ValueError) as exc:\n",
         "    except MajorchainError as exc:\n",
+    ),
+    (
+        "cli-dispatch-memoryerror-not-caught",
+        CLI,
+        "    except MemoryError:\n",
+        "    except ZeroDivisionError:\n",
+    ),
+    (
+        "cli-dispatch-ignores-leftover-arguments",
+        CLI,
+        "            if extras:\n",
+        "            if False:\n",
+    ),
+    (
+        "parse-partition-one-pass-order-test-dropped",
+        JSONIO,
+        "        and all(map(ge, items, items[1:]))\n",
+        "",
+    ),
+    (
+        "parse-chain-one-pass-order-test-dropped",
+        JSONIO,
+        "            and all(map(le, exponents, exponents[1:]))\n",
+        "",
+    ),
+    (
+        "parse-partition-one-pass-cap-dropped",
+        JSONIO,
+        "        and items[0] <= MAX_PART\n",
+        "",
+    ),
+    (
+        "parse-partition-one-pass-admits-bools",
+        JSONIO,
+        "_INT_ONLY.issuperset(map(type, items))",
+        "all(isinstance(value, int) for value in items)",
+    ),
+    (
+        "writer-nested-indent-not-grown",
+        JSONIO,
+        '        inner = newline + "  "\n        if _INT_ONLY',
+        "        inner = newline\n        if _INT_ONLY",
     ),
     (
         "int-argument-accepts-bools",
