@@ -11,7 +11,10 @@ Exit codes, mutually exclusive:
 
 * 0: success (verified, found, translated, identity holds, reproduced);
 * 1: verification failed or nothing found;
-* 2: malformed input, input too large to process (a ``MemoryError``, such
+* 2: malformed input (including a certificate whose shape does not fit
+  the instance given to ``check``: a wrong number of partitions, reported
+  at ``$.fs``, or a middle chain of the wrong length, at
+  ``$.beta.length``), input too large to process (a ``MemoryError``, such
   as ``identity`` on exponents near 2^62), or input a solver cannot handle
   (``--weight`` outside single-pair splitting instances, or a
   chain-completion instance with a factor of degree 2 or more given to
@@ -36,7 +39,13 @@ import functools
 import sys
 
 from . import jsonio
-from .errors import ConclusionViolation, InputError, MajorchainError, PremiseViolation
+from .errors import (
+    ConclusionViolation,
+    InputError,
+    LengthMismatch,
+    MajorchainError,
+    PremiseViolation,
+)
 from .instances import (
     _verdict,
     check_lemma_conclusion,
@@ -94,14 +103,20 @@ def _cmd_check(args) -> int:
             checks = check_lemma_premise(inst)
         else:
             certificate = jsonio.parse_f_certificate(_read_json(args.certificate))
-            checks = check_lemma_conclusion(inst, certificate)
+            try:
+                checks = check_lemma_conclusion(inst, certificate)
+            except LengthMismatch as exc:
+                raise InputError(str(exc), "$.fs") from exc
     else:
         inst = jsonio.parse_theorem_instance(data)
         if args.certificate is None:
             checks = check_theorem_premises(inst)
         else:
             certificate = jsonio.parse_beta_certificate(_read_json(args.certificate))
-            checks = check_theorem_conclusion(inst, certificate)
+            try:
+                checks = check_theorem_conclusion(inst, certificate)
+            except LengthMismatch as exc:
+                raise InputError(str(exc), "$.beta.length") from exc
     verified = _verdict(checks)
     _emit({"verified": verified, "checks": jsonio.transcript_to_obj(checks)})
     return EXIT_OK if verified else EXIT_FAILED

@@ -32,10 +32,12 @@ The public route (``dual``, ``PolyChain.factor_partition`` and
 reference that the tests compare these maps with.
 
 Each condition has one implementation here, which the solvers reuse:
-``_pooled`` builds every pooled-gap multiset, ``_splitting_checks`` is the
-splitting conclusion (with the gaps scaled by a weight, 1 for the lemma
-itself) and ``_sigma_condition`` is every indices-versus-degree-sequence
-condition of the chain-completion form.
+``_pooled`` builds every pooled-gap multiset from a list of gaps, which
+``LemmaInstance.gap_union`` and ``_splitting_checks`` collect in their own
+pass over the pairs, ``_splitting_checks`` is the splitting conclusion
+(with the gaps scaled by a weight, 1 for the lemma itself) and
+``_sigma_condition`` is every indices-versus-degree-sequence condition of
+the chain-completion form.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable
 from functools import cached_property
-from operator import lt, sub
+from operator import ge, lt, sub
 
 from .chains import (
     Factor,
@@ -170,7 +172,11 @@ class LemmaInstance(_Value, fields=("pairs", "A", "B")):
 
     def gap_union(self) -> Partition:
         """The pooled gaps (d^1-t^1) u ... u (d^k-t^k)."""
-        return _pooled(self.pairs, 1)
+        gaps = []
+        for d, t in self.pairs:
+            d = d.parts  # t <= d, so t has no more parts than d
+            gaps += map(sub, d, t.pad(len(d)))
+        return _pooled(gaps, 1)
 
     @cached_property
     def premise_holds(self) -> bool:
@@ -201,7 +207,7 @@ class FCertificate(_Value, fields=("fs",)):
     """
 
     def __init__(self, fs: Iterable[Partition]):
-        self.__dict__["fs"] = tuple(as_partition(f) for f in fs)
+        self.__dict__["fs"] = tuple(map(as_partition, fs))
 
 
 class ConditionCheck(_Value, fields=("name", "holds", "left", "right", "note")):
@@ -223,19 +229,15 @@ class ConditionCheck(_Value, fields=("name", "holds", "left", "right", "note")):
 
 
 def _verdict(checks: Iterable[ConditionCheck]) -> bool:
-    return all(check.holds is True for check in checks)
+    return all([check.holds is True for check in checks])
 
 
 def _majorized(name: str, left: Partition, right: Partition) -> ConditionCheck:
     return ConditionCheck(name, majorizes(left, right), left, right)
 
 
-def _pooled(pairs, w: int) -> Partition:
-    """The gaps w*(hi_j - lo_j) of every (hi, lo) pair with lo <= hi, sorted once."""
-    gaps = []
-    for hi, lo in pairs:
-        hi = hi.parts  # lo <= hi, so lo has no more parts than hi
-        gaps += map(sub, hi, lo.pad(len(hi)))
+def _pooled(gaps: list[int], w: int) -> Partition:
+    """The gaps, each scaled by ``w``, sorted once into a partition (sorts ``gaps`` in place)."""
     gaps.sort(reverse=True)
     return Partition(gaps if w == 1 else [w * gap for gap in gaps])
 
@@ -312,30 +314,37 @@ def _splitting_checks(pairs, fs, A: Partition, B: Partition, w: int) -> list[Con
 
     t^i <= f^i <= d^i, the lower gaps w*(f^i-t^i) pool under A and the upper
     gaps w*(d^i-f^i) pool under B.  With w=1 this is the splitting conclusion.
+    One pass over the pairs tests each pair's bounds on its padded parts
+    inside C builtins and collects its lower and upper gaps.  Only a pair
+    that fails is walked position by position, for the note naming the
+    first position where d^i >= f^i >= t^i does not hold.
     """
     if len(fs) != len(pairs):
         raise LengthMismatch(f"{len(fs)} candidate partitions for {len(pairs)} pairs")
-    bounds_note = next(
-        (
-            f"pair {index}, position {j}: need {d[j]} >= {f[j]} >= {t[j]}"
-            for index, ((d, t), f) in enumerate(zip(pairs, fs))
-            for j in range(max(len(d), len(t), len(f)))
-            if not d[j] >= f[j] >= t[j]
-        ),
-        "",
-    )
-    bounds = ConditionCheck("bounds(t<=f<=d)", not bounds_note, tuple(fs), pairs, note=bounds_note)
-    if bounds_note:
-        skip = "skipped: the bounds condition failed"
-        return [
-            bounds,
-            ConditionCheck("lower-gaps-vs-A", None, note=skip),
-            ConditionCheck("upper-gaps-vs-B", None, note=skip),
-        ]
-    lower = _pooled(((f, t) for (_, t), f in zip(pairs, fs)), w)
-    upper = _pooled(((d, f) for (d, _), f in zip(pairs, fs)), w)
+    lower_gaps: list[int] = []
+    upper_gaps: list[int] = []
+    for index, ((d, t), f) in enumerate(zip(pairs, fs)):
+        hi = d.parts
+        n = len(hi)
+        mid, lo = f.pad(n), t.pad(n)  # t <= d, so t has no more parts than d
+        if len(mid) > n or not all(map(ge, hi, mid)) or not all(map(ge, mid, lo)):
+            note = next(
+                f"pair {index}, position {j}: need {d[j]} >= {f[j]} >= {t[j]}"
+                for j in range(len(mid))
+                if not d[j] >= f[j] >= t[j]
+            )
+            skip = "skipped: the bounds condition failed"
+            return [
+                ConditionCheck("bounds(t<=f<=d)", False, tuple(fs), pairs, note=note),
+                ConditionCheck("lower-gaps-vs-A", None, note=skip),
+                ConditionCheck("upper-gaps-vs-B", None, note=skip),
+            ]
+        lower_gaps += map(sub, mid, lo)
+        upper_gaps += map(sub, hi, mid)
+    lower = _pooled(lower_gaps, w)
+    upper = _pooled(upper_gaps, w)
     return [
-        bounds,
+        ConditionCheck("bounds(t<=f<=d)", True, tuple(fs), pairs),
         _majorized("lower-gaps-vs-A", lower, A),
         _majorized("upper-gaps-vs-B", upper, B),
     ]

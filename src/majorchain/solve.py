@@ -70,9 +70,9 @@ RuntimeError.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import prod
-from operator import le
+from operator import add, le, sub
 
 from .chains import PolyChain
 from .errors import _int_argument, _Value
@@ -348,26 +348,35 @@ class _SplitSearch:
     def __init__(self, inst: LemmaInstance, w: int, trace=None):
         self.w = w
         self.trace = trace
-        # t <= d componentwise, so d's length covers both.
-        pairs = [(d.parts, t.pad(len(d))) for d, t in inst.pairs]
-        self.floors = [t for _, t in pairs]
-        self.total_a = weight(inst.A)
-        self.total_b = weight(inst.B)
-        self.pre_a = [prefix // w for prefix in accumulate(inst.A.parts)]
-        self.pre_b = [prefix // w for prefix in accumulate(inst.B.parts)]
+        A, B = inst.A.parts, inst.B.parts
+        self.total_a, self.total_b = sum(A), sum(B)
+        pre_a, pre_b = list(accumulate(A)), list(accumulate(B))
+        if w != 1:
+            pre_a = [prefix // w for prefix in pre_a]
+            pre_b = [prefix // w for prefix in pre_b]
+        self.pre_a, self.pre_b = pre_a, pre_b
         self.limit_a, self.limit_b = self.total_a // w, self.total_b // w
-        gaps = [dv - tv for d, t in pairs for dv, tv in zip(d, t)]
+        # One pass per pair: its floor t (padded: t <= d componentwise, so d's length covers
+        # both), its gaps, and two tables its steps share: d negated (ascending, so bisect needs
+        # no costly key) and its prefix sums.
+        self.floors = floors = []
+        gaps = []
+        tables = []
+        for d, t in inst.pairs:
+            d = d.parts
+            t = t.pad(len(d))
+            floors.append(t)
+            gaps += map(sub, d, t)
+            tables.append((d, t, [-part for part in d], list(accumulate(d, initial=0))))
         self.gap_total = sum(gaps)
-        self.space_size = prod(gap + 1 for gap in gaps)
-        rest_after = _sums_after(gaps)
-        # One step per position: pair, index, d[j], t[j], later gaps, and two tables its pair's
-        # steps share: d negated (ascending, so bisect needs no costly key) and its prefix sums.
-        self.steps = []
-        for i, (d, t) in enumerate(pairs):
-            neg_d = [-part for part in d]
-            sums = list(accumulate(d, initial=0))
-            for j in range(len(d)):
-                self.steps.append((i, j, d[j], t[j], rest_after[len(self.steps)], neg_d, sums))
+        self.space_size = prod(map(add, gaps, repeat(1)))
+        # One step per position: pair, index, d[j], t[j], later gaps and its pair's two tables.
+        rest_after = iter(_sums_after(gaps))
+        self.steps = [
+            (i, j, dv, tv, next(rest_after), neg_d, sums)
+            for i, (d, t, neg_d, sums) in enumerate(tables)
+            for j, (dv, tv) in enumerate(zip(d, t))
+        ]
 
     def run(self, cap: int):
         w = self.w
@@ -473,7 +482,7 @@ class _SplitSearch:
             ca += gap_lower
             pos_idx += 1
             value = None
-        return FOUND, FCertificate(tuple(Partition(values) for values in assigned)), nodes
+        return FOUND, FCertificate(map(Partition, assigned)), nodes
 
 
 class _ChainSearch:

@@ -478,6 +478,30 @@ class TestErrorPaths:
         assert cli_dispatch(["frobnicate"]) == 2
         capsys.readouterr()
 
+    def test_splitting_of_the_wrong_length_is_an_input_error_at_its_path(self, capsys, tmp_path):
+        instance = write(tmp_path, "lemma.json", {"pairs": [{"d": [2, 1], "t": [1]}], "A": [1], "B": [1]})
+        certificate = write(tmp_path, "fs.json", {"fs": [[1, 1], [1]]})
+        code = cli_dispatch(
+            ["check", "--mode", "lemma", "--instance", instance, "--certificate", certificate]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "input error: $.fs: 2 candidate partitions for 1 pairs\n"
+
+    def test_middle_chain_of_the_wrong_length_is_an_input_error_at_its_path(
+        self, capsys, running_files, tmp_path
+    ):
+        instance, _, _ = running_files
+        short = write(
+            tmp_path, "short.json", {"beta": jsonio.chain_to_obj(PolyChain(1, {Factor("x"): (1,)}))}
+        )
+        code = cli_dispatch(
+            ["check", "--mode", "theorem", "--instance", instance, "--certificate", short]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "input error: $.beta.length: middle chain length 1 != 1 + 1\n"
+
 
 class TestWorkersFlag:
     def test_worker_count_does_not_change_the_report(self, capsys, tmp_path):

@@ -1,6 +1,6 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each of the 57 mutants is one exact text edit to one file under ``src/``:
+Each of the 61 mutants is one exact text edit to one file under ``src/``:
 a search cut or clamp dropped or tightened, the splitting search's root
 totals test dropped, or kept without its divisibility half or without
 the factor w, its lower-prefix cut made to try the next value instead of
@@ -15,7 +15,9 @@ residual bounds composed one rank off, trimmed below their
 room or composed from an earlier pair's stale bounds, charging one node
 less per hit, aborting when a hit meets the budget exactly, left out of
 the trace or cleared from the root pair down, the direct backtrack not
-restoring the mass, each verifier condition forced true, the totals
+restoring the mass, each verifier condition forced true, the
+splitting verifier's one-pass bounds test without its length test or
+either of its halves, its pooled gaps left unscaled by w, the totals
 test of ``majorizes`` dropped, the translation's conjugate counting the
 parts equal to i as above i (``bisect_right`` at i - 1, which is
 ``bisect_left`` at i on integers) or its embedding of a conjugate into a
@@ -67,6 +69,7 @@ SKIPPED_MODULES = {"test_acceptance.py", "test_mutant_list.py"}
 FIRST_MODULES = (
     "test_import_footprint.py",
     "test_argument_rules.py",
+    "test_split_parity.py",
     "test_solve.py",
     "test_chain_kernel.py",
     "test_single_search_path.py",
@@ -143,8 +146,8 @@ MUTANTS = (
     (
         "split-prefix-table-unscaled",
         SOLVE,
-        "        self.pre_a = [prefix // w for prefix in accumulate(inst.A.parts)]\n",
-        "        self.pre_a = list(accumulate(inst.A.parts))\n",
+        "            pre_a = [prefix // w for prefix in pre_a]\n",
+        "",
     ),
     (
         "split-upper-prefix-cut-dropped",
@@ -297,8 +300,32 @@ MUTANTS = (
     (
         "verifier-bounds-forced-true",
         INSTANCES,
-        "            if not d[j] >= f[j] >= t[j]\n",
-        "            if False\n",
+        "if len(mid) > n or not all(map(ge, hi, mid)) or not all(map(ge, mid, lo)):",
+        "if False:",
+    ),
+    (
+        "verifier-bounds-length-test-dropped",
+        INSTANCES,
+        "if len(mid) > n or not all(map(ge, hi, mid)) or",
+        "if not all(map(ge, hi, mid)) or",
+    ),
+    (
+        "verifier-bounds-upper-half-dropped",
+        INSTANCES,
+        " or not all(map(ge, hi, mid)) or ",
+        " or ",
+    ),
+    (
+        "verifier-bounds-lower-half-dropped",
+        INSTANCES,
+        " or not all(map(ge, mid, lo)):",
+        ":",
+    ),
+    (
+        "verifier-gaps-unscaled",
+        INSTANCES,
+        "    return Partition(gaps if w == 1 else [w * gap for gap in gaps])\n",
+        "    return Partition(gaps)\n",
     ),
     (
         "verifier-lemma-premise-forced-true",
