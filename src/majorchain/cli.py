@@ -11,15 +11,15 @@ Exit codes, mutually exclusive:
 
 * 0: success (verified, found, translated, identity holds, reproduced);
 * 1: verification failed or nothing found;
-* 2: malformed input (including a certificate whose shape does not fit
-  the instance given to ``check``: a wrong number of partitions, reported
-  at ``$.fs``, or a middle chain of the wrong length, at
-  ``$.beta.length``), input too large to process (a ``MemoryError``, such
-  as ``identity`` on exponents near 2^62), or input a solver cannot handle
-  (``--weight`` outside single-pair splitting instances, or a
-  chain-completion instance with a factor of degree 2 or more given to
-  ``translate``, or to ``solve`` when its premises hold: the translation
-  needs degree-1 factors);
+* 2: malformed input (including a certificate whose shape does not fit the
+  instance given to ``check``: a wrong number of partitions, reported at
+  ``$.fs``, or a middle chain of the wrong length, at ``$.beta.length``), an
+  ``identity`` pair that is not sandwiched, input too large to process (a
+  ``MemoryError``, such as ``identity`` on exponents near 2^62), or input a
+  solver cannot handle (``--weight`` outside single-pair splitting
+  instances, or a chain-completion instance with a factor of degree 2 or
+  more given to ``translate``, or to ``solve`` when its premises hold: the
+  translation needs degree-1 factors);
 * 3: node budget exceeded;
 * 4: contradiction tripwire: a premise-satisfying instance with no
   solution, which the existence theorem rules out.  A bug-report artifact

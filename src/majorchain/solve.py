@@ -17,13 +17,9 @@ an ``aborted`` outcome and ``nodes`` equal to the budget.  The splitting
 search first tests both gap totals, for 0 nodes: its scaled gaps pool to
 w*G, where G is the sum of all gaps, so it needs w*G == |A| + |B| and w
 dividing |A|.  Both searches then test mass only as bounds of each
-position's window, so every value tried can still bring the totals to
-what a solution needs.  The splitting search's only per-node cuts are its
-two prefix checks, and they act the same at every position, the first
-included: the lower one ends the window and the upper one tries the next
-value.  Each runs one scan against a table of floor(prefix/w) inside C
-builtins (see ``_SplitSearch``); they decide what the scaled sums would,
-so node counts and traces do not depend on how checks are made.
+position's window, and the splitting search its two prefix checks too
+(see ``_SplitSearch``), so every value tried is committed and can still
+bring the totals to what a solution needs.
 
 The splitting search remembers the sub-searches it has exhausted.
 Majorization sees only the multiset of gaps, not which pair gave which
@@ -72,7 +68,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from itertools import accumulate, repeat
 from math import prod
-from operator import add, le, sub
+from operator import add, sub
 
 from .chains import PolyChain
 from .errors import _int_argument, _Value
@@ -107,8 +103,8 @@ class SolveReport(_Value, fields=("outcome", "certificate", "nodes", "budget", "
     ``nodes`` is the node count of the search without the splitting
     search's memo: one per candidate value tried, where a memo hit charges
     the nodes of the exhausted sub-search it stands for, so the values
-    actually tried can be far fewer (on the deep corpus, 601,456 for
-    2,558,019 counted nodes).  ``budget`` caps that count.  ``space_size``
+    actually tried can be far fewer (on the deep corpus, 456,591 for
+    1,572,611 counted nodes).  ``budget`` caps that count.  ``space_size``
     is the raw number of value combinations in the unpruned search box,
     recorded so aborted reports still convey how large the task was.
     """
@@ -177,6 +173,15 @@ def _compose(bounds, gaps, width, room):
     while out and out[-1] == room:
         out.pop()
     return out
+
+
+def _room(pre, gaps) -> int:
+    """The largest g whose addition keeps the top-r sums of ascending ``gaps`` within ``pre``.
+
+    Adding g makes top_r max(top_r, top_(r-1) + g), so where ``gaps`` fit, that is the least
+    pre[k] - top_k(gaps) over k <= len(gaps), k < len(pre): R(1) of the module docstring, uncapped.
+    """
+    return min(map(sub, pre, accumulate(reversed(gaps), initial=0))) if gaps else pre[0]
 
 
 def _lower_reach(v, j, neg_d, sums):
@@ -328,17 +333,15 @@ class _SplitSearch:
     no later parts, so v = top: every leaf the search reaches is a
     splitting.
 
-    A value tried costs one node and at most two checks, each one pass
-    inside C builtins.  Entering a pair's first part in a state the memo
-    holds (see the module docstring) charges the nodes of that whole
-    exhausted sub-search at once, and tries no value there.  The checks are
-    the lower and upper prefix, and they act the same at every position:
-    the committed gaps, sorted, must have every top-r sum S at most
-    ``pre_a[r]`` (``pre_b[r]``), A's (B's) r-th prefix sum P floor-divided
-    by w, since w*S <= P exactly when S <= P//w.  Ranks past len(A) need no
-    check, since their sums are at most the side's total, |A|/w or |B|/w.
-    Both run as ``all(map(le, accumulate(...), pre))``.  The lower gap only
-    grows with v, so a lower failure ends the window.
+    The prefix checks bound the window too: the sorted lower gaps' top-r
+    sums S must be at most ``pre_a[r - 1]``, as w*S <= P exactly when S <=
+    P//w for A's r-th prefix sum P (ranks past len(A) sum to at most
+    |A|/w).  One more gap keeps that exactly when it is at most the
+    committed gaps' :func:`_room`, so A's room caps hi at t[j] plus it, and
+    B's raises the bottom to d[j] less it, since v - t[j] grows with v and
+    d[j] - v shrinks.  Every value tried is committed, for one node.  A
+    memo hit at a pair's first part (see the module docstring) charges the
+    nodes of that exhausted sub-search at once and tries no value there.
 
     :func:`search_trace_hash` passes a ``trace`` (a hashlib object), and
     ``run`` feeds it ``b"<position>:<value>;"`` for every node and
@@ -424,6 +427,14 @@ class _SplitSearch:
                             trace.update(b"%d=%d;" % (pos_idx, spent))
                         opened[pos_idx] = None
                         value = hi + 1
+                if tj < hi and value <= hi:  # the lower gap v - t[j] grows with v: cap hi
+                    end = tj + _room(pre_a, lower_gaps)
+                    if end < hi:
+                        hi = end
+                if value < dj and value <= hi:  # the upper gap d[j] - v shrinks: raise v
+                    start = dj - _room(pre_b, upper_gaps)
+                    if start > value:
+                        value = start
                 # Later positions of this pair add less than ``rest`` where they sit above v.
                 if value <= hi and _lower_reach(value, j, neg_d, sums) < goal:
                     # Start at the least value that passes, or at hi + 1 if none does.
@@ -464,19 +475,8 @@ class _SplitSearch:
             gap_upper = dj - value
             if gap_lower:
                 insort(lower_gaps, gap_lower)
-                if not all(map(le, accumulate(reversed(lower_gaps)), pre_a)):
-                    lower_gaps.remove(gap_lower)
-                    # Larger values make this prefix worse.
-                    value = hi + 1
-                    continue
             if gap_upper:
                 insort(upper_gaps, gap_upper)
-                if not all(map(le, accumulate(reversed(upper_gaps)), pre_b)):
-                    upper_gaps.remove(gap_upper)
-                    if gap_lower:
-                        lower_gaps.remove(gap_lower)
-                    value += 1  # larger values shrink this gap
-                    continue
             values[j] = value
             stack.append((value, hi, ca, gap_lower, gap_upper))
             ca += gap_lower

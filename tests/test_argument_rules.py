@@ -104,6 +104,17 @@ def test_certificate_needs_fs_or_beta():
         jsonio.parse_certificate({"gamma": []})
 
 
-def test_repro_counterexample_at_budget_zero_exits_3(capsys):
-    assert cli_dispatch(["repro-counterexample", "--budget", "0"]) == 3
+def test_budget_zero_exits_3_on_an_instance_that_needs_a_node(capsys, tmp_path):
+    path = tmp_path / "lemma.json"
+    path.write_text(jsonio.dumps(jsonio.lemma_instance_to_obj(LEMMA)), encoding="utf-8")
+    argv = ["solve", "--mode", "lemma", "--instance", str(path), "--budget", "0"]
+    assert cli_dispatch(argv) == 3
     assert jsonio.load_json(capsys.readouterr().out)["outcome"] == "aborted"
+
+
+def test_repro_counterexample_at_budget_zero_needs_no_node(capsys):
+    # With w = 2, A's first prefix sum floor-divided by w is 0, so the lower-prefix bound
+    # caps the root window at f = 0 and the upper-prefix bound raises it to 1: it is empty.
+    assert cli_dispatch(["repro-counterexample", "--budget", "0"]) == 0
+    report = jsonio.load_json(capsys.readouterr().out)
+    assert (report["outcome"], report["nodes"]) == ("none", 0)

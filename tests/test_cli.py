@@ -401,6 +401,26 @@ class TestIdentity:
             "match": True,
         }
 
+    def test_a_pair_that_is_not_sandwiched_exits_2(self, capsys, tmp_path):
+        # delta's x^2 does not divide epsilon's x^1 one step further along, so the pair is not
+        # sandwiched and its degree sequence is undefined.
+        x = Factor("x")
+        instance = write(
+            tmp_path,
+            "unsandwiched.json",
+            {
+                "delta": jsonio.chain_to_obj(PolyChain(1, {x: (2,)})),
+                "epsilon": jsonio.chain_to_obj(PolyChain(2, {x: (0, 1)})),
+            },
+        )
+        code = cli_dispatch(["identity", "--instance", instance])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: the divisibility sandwich does not hold; the degree sequence is undefined "
+            "for this pair\n"
+        )
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):

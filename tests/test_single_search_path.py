@@ -30,9 +30,10 @@ def running_instance():
     return TheoremInstance(alpha, gamma, Partition([0]), Partition([0]), m=1, p=1)
 
 
-def two_root_instance():
-    # The first position takes the values 4 and 5; the subtree under 4 holds
-    # no splitting, so the search finds its certificate under the second root.
+def raised_root_instance():
+    # The first position's window is 4..5, but an upper gap of 2 would exceed
+    # B's largest part, so the upper-prefix bound raises it to 5, where the
+    # search finds its certificate.
     return LemmaInstance(
         (
             (Partition([6, 4]), Partition([3, 3])),
@@ -84,12 +85,12 @@ class TestWorkersArgument:
     @pytest.mark.parametrize("workers", [0, -1, True, 1.0])
     def test_invalid_workers_raise(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            solve_lemma(two_root_instance(), workers=workers)
+            solve_lemma(raised_root_instance(), workers=workers)
 
     def test_cli_rejects_zero_workers(self, capsys, tmp_path):
         path = tmp_path / "lemma.json"
         path.write_text(
-            jsonio.dumps(jsonio.lemma_instance_to_obj(two_root_instance())),
+            jsonio.dumps(jsonio.lemma_instance_to_obj(raised_root_instance())),
             encoding="utf-8",
         )
         code = cli_dispatch(
@@ -102,7 +103,7 @@ class TestWorkersArgument:
         assert "Traceback" not in captured.err
 
     def test_workers_start_no_threads(self, monkeypatch):
-        inst = two_root_instance()
+        inst = raised_root_instance()
         sequential = solve_lemma(inst, workers=1)
 
         def refuse(self):
@@ -110,7 +111,7 @@ class TestWorkersArgument:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         assert solve_lemma(inst, workers=4) == sequential
-        assert sequential.found and sequential.nodes == 6
+        assert sequential.found and sequential.nodes == 5
 
 
 def upper_mass_cut_instance():
@@ -121,14 +122,14 @@ def upper_mass_cut_instance():
 
 def lower_prefix_cut_instance():
     # The root window is 2..3, and a first lower gap of 2 already exceeds A's
-    # largest part, so the lower-prefix bound cuts the whole root window.
+    # largest part, so the lower-prefix bound caps the window's top at 1.
     return LemmaInstance(
         ((Partition([3, 1]), Partition()),), Partition([1, 1, 1]), Partition([1])
     )
 
 
 def memo_hit_instance():
-    # The 31-node instance whose last memo hit meets a budget of 31 exactly.
+    # The 21-node instance whose last memo hit meets a budget of 21 exactly.
     return LemmaInstance(
         (
             (Partition([3, 1]), Partition([1])),
@@ -148,13 +149,13 @@ class TestOneDescent:
         "inst, nodes, trace",
         [
             (upper_mass_cut_instance(), 0, b""),
-            (lower_prefix_cut_instance(), 1, b"0:2;"),
+            (lower_prefix_cut_instance(), 0, b""),
         ],
         ids=["upper-mass", "lower-prefix"],
     )
     def test_a_root_cut_ends_the_window(self, inst, nodes, trace):
         # The totals test decides the first before any value is tried; the
-        # lower-prefix cut ends the second's root window after one value.
+        # lower-prefix bound empties the second's root window.
         report = solve_lemma(inst)
         assert report.outcome == "none" and report.nodes == nodes
         assert search_trace_hash(inst) == hashlib.sha256(trace).hexdigest()
@@ -164,14 +165,14 @@ class TestOneDescent:
         [
             (
                 10**6,
-                b"0:1;1:0;2:0;3:1;3:2;4:0;2:1;3:1;4:0;2:2;3:0;1:1;2:0;3:1;2:1;3=1;"
-                b"0:2;1:0;2:0;3=2;2:1;3:0;4:0;1:1;2:0;3=1;"
-                b"0:3;1:0;2=2;",
+                b"0:1;1:0;2:0;3:2;2:1;3:1;2:2;1:1;2:0;2:1;3=0;"
+                b"0:2;1:0;2:0;3=1;2:1;3:0;1:1;2:0;3=0;"
+                b"0:3;1:0;2=1;",
             ),
             (
-                30,
-                b"0:1;1:0;2:0;3:1;3:2;4:0;2:1;3:1;4:0;2:2;3:0;1:1;2:0;3:1;2:1;3=1;"
-                b"0:2;1:0;2:0;3=2;2:1;3:0;4:0;1:1;2:0;3=1;"
+                20,
+                b"0:1;1:0;2:0;3:2;2:1;3:1;2:2;1:1;2:0;2:1;3=0;"
+                b"0:2;1:0;2:0;3=1;2:1;3:0;1:1;2:0;3=0;"
                 b"0:3;1:0;",
             ),
         ],
@@ -180,30 +181,29 @@ class TestOneDescent:
     def test_a_memo_hit_costs_one_trace_entry(self, budget, trace):
         # Positions 2 and 3 open the second and third pairs.  A state with the totals and
         # residual bounds of one whose sub-search was exhausted is a memo hit: one
-        # "<position>=<charged nodes>;" entry.  Some hits meet different committed gaps, as
-        # the first "3=1;" does: after 0:1;1:1;2:1 the lower gaps are {1, 1}, where after
-        # 0:1;1:0;2:2, whose sub-search it charges, they were {2}.  At budget 30 the last hit,
-        # "2=2;", would pass the budget, so the search aborts without its entry.
+        # "<position>=<charged nodes>;" entry, also where that sub-search's window was empty
+        # and it tried no value.  Some hits meet different committed gaps, as the first "3=0;"
+        # does: after 0:1;1:1;2:1 the lower gaps are {1, 1}, where after 0:1;1:0;2:2, whose
+        # sub-search it charges, they were {2}.  At budget 20 the last hit, "2=1;", would pass
+        # the budget, so the search aborts without its entry.
         report = solve_lemma(memo_hit_instance(), budget=budget)
         entries = trace.split(b";")[:-1]
         counted = sum(int(entry.partition(b"=")[2] or 1) for entry in entries)
         if report.outcome == "aborted":
-            assert report.nodes == budget > counted
+            # Every node up to the budget is in the trace; the hit that would pass it is not.
+            assert report.nodes == budget == counted
         else:
             assert report.nodes == counted
         assert search_trace_hash(memo_hit_instance(), budget) == hashlib.sha256(trace).hexdigest()
 
-    @pytest.mark.parametrize(
-        "budget, outcome, nodes",
-        [(0, "aborted", 0), (1, "none", 1), (2, "none", 1), (3, "none", 1)],
-    )
-    def test_budget_stops_at_a_root_cut(self, budget, outcome, nodes):
-        report = solve_lemma(lower_prefix_cut_instance(), budget=budget)
-        assert (report.outcome, report.nodes) == (outcome, nodes)
-
     @pytest.mark.parametrize("budget", [0, 1, 2, 3])
-    def test_an_empty_root_window_spends_no_budget(self, budget):
-        report = solve_lemma(upper_mass_cut_instance(), budget=budget)
+    @pytest.mark.parametrize(
+        "inst",
+        [upper_mass_cut_instance(), lower_prefix_cut_instance()],
+        ids=["upper-mass", "lower-prefix"],
+    )
+    def test_an_empty_root_window_spends_no_budget(self, inst, budget):
+        report = solve_lemma(inst, budget=budget)
         assert (report.outcome, report.nodes) == ("none", 0)
 
     @pytest.mark.parametrize(

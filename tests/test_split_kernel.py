@@ -10,10 +10,12 @@ budget handling of the search changes the digest.
 The search first tests both gap totals: with G the sum of all gaps, it
 needs w*G == |A| + |B| and w dividing |A|, and decides any other instance
 as ``none`` for 0 nodes, which the oracles confirm on a seeded sample.
-Past that test mass is a bound of each window, not a per-node cut, so no
-node is a value that cannot reach both totals.  The other tests check
-every search step and the lower reach it yields against brute-force sums, that the search's
-set-up allocates O(positions) however large or many the parts are, and,
+Past that test mass and both prefix checks are bounds of each window, not
+per-node cuts, so no node is a value that cannot reach both totals or that
+breaks a prefix check: the room that bounds a gap is checked against
+brute-force top-r sums, and every value of replayed traces against both
+prefix tables.  The other tests check every search step and the lower
+reach it yields against brute-force sums, that the search's set-up allocates O(positions) however large or many the parts are, and,
 for every deep-corpus instance, the outcome and certificate recorded in
 the corpus file and the node count pinned here, at most the recorded one.
 The memo of exhausted sub-searches must keep reports exact at every
@@ -28,6 +30,7 @@ import hashlib
 import random
 import signal
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 from majorchain import (
@@ -45,38 +48,39 @@ from majorchain import (
     weight,
 )
 from majorchain import solve
-from majorchain.solve import _lower_reach, _SplitSearch
+from majorchain.solve import _lower_reach, _room, _SplitSearch
 
 from helpers import oracle_lemma_solutions, oracle_scaled_solutions
 
 BUDGETS = (0, 1, 2, 5, 50, 10**6)
 
-# sha256 of the records below, recorded with both gap totals tested at the root and mass as
-# bounds of the window.  The traced search keeps the memo, so a trace hash lists each memo hit
-# where the search enters a state with the position, lower total and residual bounds of an
-# exhausted one; every other field is that of the search without its memo.
-GOLDEN = "8ded45080af79197cea1a066eca7773f4f8fe91a2b0bf17d63c8021de7b84e68"
+# sha256 of the records below, recorded with both gap totals tested at the root and mass and
+# both prefix checks as bounds of the window.  The traced search keeps the memo, so a trace
+# hash lists each memo hit where the search enters a state with the position, lower total and
+# residual bounds of an exhausted one; every other field is that of the search without its memo.
+GOLDEN = "630d51890dcdfcfeeaf6cec18f6073bc9fe3c26be7b708be9d1edb5f723d2c38"
 
 # sha256 of (outcome, certificate, nodes) over the gap-256 instances below, recorded from the
-# search without the memo, with both gap totals tested at the root.
-WIDE_GAPS = "ecdaa18a085dc088948ddb12c1e67e3f13bc45db221bf603a5155097194b04d5"
+# search without the memo, with both gap totals tested at the root and both prefix checks as
+# bounds of the window.
+WIDE_GAPS = "9df9fb479428ba381f4a882b5d263b40a8dc9d4cfec088f6737d4bdd09eb51a3"
 
 # Node counts of the 120 deep-corpus instances, in the corpus file's order.  The file records
 # the counts of a search that tried values which could no longer reach a mass total; each of
 # these is at most the recorded one, and more than 200.
 CORPUS_NODES = (
-    14744, 21803, 27026, 22879, 23554, 28320, 26416, 20864, 23409, 19076,
-    18463, 13884, 23985, 19813, 33548, 14098, 23132, 23800, 23236, 19996,
-    12737, 19609, 22771, 17565, 21332, 32645, 26725, 16039, 17480, 24038,
-    17545, 23974, 34038, 27265, 21869, 24299, 17674, 15973, 21165, 10149,
-    14886, 18377, 20230, 15593, 21346, 16878, 22815, 20256, 30188, 27730,
-    21635, 25902, 17841, 17524, 27656, 23636, 24186, 26861, 15801, 30606,
-    18197, 21238, 17695, 28493, 16737, 23839, 9953, 28913, 13574, 21393,
-    33646, 18402, 20957, 18608, 26101, 24596, 13516, 27673, 15527, 17139,
-    13428, 16752, 17404, 17013, 22740, 20703, 22624, 27449, 10816, 21174,
-    21999, 11461, 16140, 15440, 30275, 33762, 30314, 22109, 21953, 23434,
-    15036, 17320, 11608, 16314, 34519, 21751, 14980, 15400, 19159, 34988,
-    27193, 21950, 26296, 24184, 23571, 17716, 16059, 27201, 11951, 20751,
+    7892, 13881, 18138, 14322, 15485, 14950, 18429, 10781, 14166, 13405,
+    11856, 7940, 13296, 14081, 21426, 7914, 11949, 15527, 12386, 12784,
+    7053, 11716, 14376, 11366, 13723, 21472, 16588, 10279, 9949, 17559,
+    10743, 14881, 24046, 17078, 14026, 14049, 11811, 10501, 14773, 5905,
+    8868, 8899, 13774, 6954, 12332, 11347, 10112, 13939, 19947, 18410,
+    14162, 18018, 7805, 12385, 16699, 15578, 15271, 17936, 6272, 18870,
+    11746, 16092, 10273, 13205, 12145, 12308, 6121, 22130, 8433, 12977,
+    23881, 10699, 12800, 11063, 18086, 15204, 7453, 13851, 8940, 11108,
+    8299, 9426, 10535, 9449, 14011, 10550, 11611, 18448, 7088, 13894,
+    15467, 6811, 9738, 9002, 17146, 21805, 17747, 13313, 8944, 14734,
+    9999, 12436, 7462, 10306, 22754, 7801, 8317, 8710, 11676, 22886,
+    16723, 12160, 15215, 15846, 16223, 10450, 8852, 18330, 7280, 12572,
 )
 
 
@@ -311,7 +315,7 @@ def test_a_memo_hit_charges_the_budget_exactly():
         Partition([2]),
         Partition([3, 1, 1, 1, 1, 1]),
     )
-    for budget, expected in ((10**6, ("none", 31)), (31, ("none", 31)), (30, ("aborted", 30))):
+    for budget, expected in ((10**6, ("none", 21)), (21, ("none", 21)), (20, ("aborted", 20))):
         report = solve_lemma(inst, budget=budget)
         assert (report.outcome, report.nodes) == expected, budget
 
@@ -336,7 +340,7 @@ def test_a_full_memo_keeps_the_pairs_nearest_the_root():
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
-    assert (report.outcome, report.nodes) == ("found", 751021968499070860610474780825103)
+    assert (report.outcome, report.nodes) == ("found", 456977025662626070178905207364049)
 
 
 def test_gaps_past_a_byte_change_no_report():
@@ -446,22 +450,82 @@ def test_the_memo_changes_no_report(monkeypatch):
 
 
 def test_equal_residual_bounds_share_a_memo_entry():
-    # Position 2 opens the third pair, d = (3).  After 0:0;1:2 the upper gaps are {3, 1}, after
-    # 0:1;1:1 they are {2, 2}: different multisets with the same totals (ca = 1, four upper
-    # units), and against B's prefix sums 3, 4, 5 both leave room for one more unit at the top
-    # rank, so the second state is a memo hit.  The lower gaps have reached |A| = 1, so the first
-    # state's window holds only 2:0, whose upper gap 3 breaks B's second prefix: the hit
-    # charges that 1 node.
+    # Position 2 opens the third pair, d = t = (3).  After 0:0;1:1 the upper gaps are {2, 2},
+    # after 0:1;1:0 they are {3, 1}: different multisets with the same totals (ca = 1, four upper
+    # units), and against B's prefix sums 3, 5, 6 both leave room for two more units at the top
+    # rank and three at the top two, so the second state is a memo hit.  The first state's
+    # sub-search tries 2:3, and then the lower gaps have reached |A| = 1, so the last pair's
+    # upper gap would be 3, past that room: the hit charges that 1 node.
     inst = LemmaInstance(
         (
+            (Partition([2]), Partition([])),
             (Partition([3]), Partition([])),
-            (Partition([3]), Partition([1])),
-            (Partition([3]), Partition([])),
+            (Partition([3]), Partition([3])),
+            (Partition([4]), Partition([1])),
         ),
         Partition([1]),
-        Partition([3, 1, 1, 1, 1]),
+        Partition([3, 2, 1, 1]),
     )
-    trace = b"0:0;1:1;1:2;2:0;0:1;1:1;2=1;"
+    trace = b"0:0;1:0;2:3;1:1;2:3;0:1;1:0;2=1;"
     report = solve_lemma(inst)
-    assert (report.outcome, report.nodes) == ("none", 7)
+    assert (report.outcome, report.nodes) == ("none", 8)
     assert search_trace_hash(inst) == hashlib.sha256(trace).hexdigest()
+
+
+def brute_fits(pre, gaps):
+    """Every top-r sum of ``gaps`` is at most pre[r - 1], for each rank r the table has."""
+    top = sorted(gaps, reverse=True)
+    return all(sum(top[:r]) <= pre[r - 1] for r in range(1, min(len(top), len(pre)) + 1))
+
+
+def test_the_prefix_room_is_the_largest_gap_that_fits():
+    # Non-decreasing tables, zeros included: prefix sums of a partition floor-divided by w = 1, 2
+    # or 3, and tables with any steps of 0 or more.  For committed gaps that fit the table, a
+    # further gap g fits exactly when g <= _room.
+    rng = random.Random(20261033)
+    binding = {"no gaps": 0, "rank 1": 0, "a deeper rank": 0}
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            w = rng.choice((1, 2, 3))
+            pre = [prefix // w for prefix in accumulate(random_partition(rng, 6, 6) or [0])]
+        else:
+            pre = list(accumulate(rng.randint(0, 4) for _ in range(rng.randint(1, 6))))
+        gaps = []
+        for _ in range(rng.randint(0, 6)):
+            gap = rng.randint(1, 4)
+            if brute_fits(pre, gaps + [gap]):
+                gaps.append(gap)
+        gaps.sort()
+        room = _room(pre, gaps)
+        assert room >= 0
+        for g in range(room + 3):
+            assert brute_fits(pre, gaps + [g]) == (g <= room), (pre, gaps, g)
+        binding["no gaps" if not gaps else "rank 1" if room == pre[0] else "a deeper rank"] += 1
+    assert min(binding.values()) > 200, binding
+
+
+def test_every_value_the_search_tries_fits_both_prefix_tables():
+    # Replay each traced search: "p:v;" tries v at position p on top of the values last tried
+    # at positions 0 to p - 1, which the search committed.  Both checks bound the window, so
+    # every value tried keeps the lower gaps within A's table and the upper ones within B's.
+    rng = random.Random(20261034)
+    tried = 0
+    for _ in range(500):
+        inst = random_instance(rng)
+        for w in (1, 2, 3) if len(inst.pairs) == 1 else (1,):
+            search = _SplitSearch(inst, w, RecordedTrace())
+            search.run(10**6)
+            values = []
+            for entry in search.trace:
+                if b"=" in entry:
+                    continue  # a memo hit tries no value
+                pos, value = map(int, entry[:-1].split(b":"))
+                del values[pos:]
+                values.append(value)
+                steps = search.steps[: len(values)]
+                lower = [v - step[3] for v, step in zip(values, steps)]
+                upper = [step[2] - v for v, step in zip(values, steps)]
+                assert brute_fits(search.pre_a, lower), (inst, w, entry)
+                assert brute_fits(search.pre_b, upper), (inst, w, entry)
+                tried += 1
+    assert tried > 1000

@@ -1,14 +1,16 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each of the 61 mutants is one exact text edit to one file under ``src/``:
+Each of the 64 mutants is one exact text edit to one file under ``src/``:
 a search cut or clamp dropped or tightened, the splitting search's root
 totals test dropped, or kept without its divisibility half or without
-the factor w, its lower-prefix cut made to try the next value instead of
-ending the window, its lower-mass clamp skipped or its binary search one
-value high, its closed-form shortfall off by one part in its count or by
-one in its bisect's threshold, one bound of the direct search's static
-window dropped, the splitting search's prefix table of A left unscaled,
-the splitting backtrack keeping the popped lower gap, the splitting
+the factor w, either prefix bound dropped, the lower one a unit high or
+the upper one a unit low, their room of no committed gaps read from the
+table's second part or computed without rank 1, its lower-mass clamp
+skipped or its binary search one value high, its closed-form shortfall
+off by one part in its count or by one in its bisect's threshold, one
+bound of the direct search's static window dropped, the splitting
+search's prefix table of A left unscaled, the splitting backtrack
+keeping the popped lower gap, the splitting
 search's memo keyed without the upper bounds (as bytes or as a tuple) or
 without the lower total, its upper room derived one unit off, its
 residual bounds composed one rank off, trimmed below their
@@ -140,8 +142,14 @@ MUTANTS = (
     (
         "split-lower-prefix-cut-dropped",
         SOLVE,
-        "if not all(map(le, accumulate(reversed(lower_gaps)), pre_a)):",
+        "if tj < hi and value <= hi:",
         "if False:",
+    ),
+    (
+        "split-lower-prefix-bound-one-high",
+        SOLVE,
+        "end = tj + _room(pre_a, lower_gaps)\n",
+        "end = tj + _room(pre_a, lower_gaps) + 1\n",
     ),
     (
         "split-prefix-table-unscaled",
@@ -152,16 +160,26 @@ MUTANTS = (
     (
         "split-upper-prefix-cut-dropped",
         SOLVE,
-        "if not all(map(le, accumulate(reversed(upper_gaps)), pre_b)):",
+        "if value < dj and value <= hi:",
         "if False:",
     ),
     (
-        "split-lower-prefix-break-to-continue",
+        "split-upper-prefix-bound-one-low",
         SOLVE,
-        "                    # Larger values make this prefix worse.\n"
-        "                    value = hi + 1\n",
-        "                    # Larger values make this prefix worse.\n"
-        "                    value += 1\n",
+        "start = dj - _room(pre_b, upper_gaps)\n",
+        "start = dj - _room(pre_b, upper_gaps) - 1\n",
+    ),
+    (
+        "split-prefix-room-of-no-gaps-reads-the-second-part",
+        SOLVE,
+        " if gaps else pre[0]\n",
+        " if gaps else pre[1]\n",
+    ),
+    (
+        "split-prefix-room-skips-rank-one",
+        SOLVE,
+        "accumulate(reversed(gaps), initial=0)",
+        "accumulate(reversed(gaps))",
     ),
     (
         "split-backtrack-keeps-popped-lower-gap",
