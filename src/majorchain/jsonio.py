@@ -8,7 +8,9 @@ Formats (all UTF-8 JSON, no comments):
 * completion instance: {"alpha", "gamma", "c", "r", "m", "p", "n"};
 * certificates: {"fs": [partition]} or {"beta": chain};
 * solve report: {"outcome", "certificate", "nodes", "budget", "space_size"},
-  where a ``space_size`` of more than 4,300 decimal digits is a string, its
+  where ``nodes`` is at most ``budget`` and equal to it when the outcome is
+  ``"aborted"``, since a search aborts only once its nodes reach the budget,
+  and a ``space_size`` of more than 4,300 decimal digits is a string, its
   lowercase hexadecimal form with a ``0x`` prefix (see below);
 * transcript: [{"name", "holds", "left", "right", "note"}];
 * identity pair (``majorchain identity``): {"delta": chain, "epsilon": chain};
@@ -366,7 +368,8 @@ def parse_solve_report(obj: object, path: str = "$") -> SolveReport:
         rule = "must not be null" if outcome == FOUND else "must be null"
         raise InputError(f"{rule} when the outcome is {outcome!r}", f"{path}.certificate")
     budget = _require_int(data["budget"], f"{path}.budget")
-    nodes = _require_int(data["nodes"], f"{path}.nodes", maximum=budget)
+    minimum = budget if outcome == ABORTED else 0
+    nodes = _require_int(data["nodes"], f"{path}.nodes", minimum=minimum, maximum=budget)
     space_size = _parse_space_size(data["space_size"], f"{path}.space_size")
     return SolveReport(outcome, certificate, nodes, budget, space_size)
 
@@ -401,8 +404,8 @@ def write_contradiction_report(inst: LemmaInstance, report: SolveReport, directo
 
     That verdict contradicts the existence statement the solver certifies,
     so it is recorded with the instance and a hash of the search's trace
-    (its nodes and memo hits) for reproduction; rerunning the search for
-    that hash costs what the solve cost.  ``directory`` is a string or path
+    (the values it tried) for reproduction; rerunning the search for that
+    hash, memo included, costs what the solve cost.  ``directory`` is a string or path
     object; returns the :class:`pathlib.Path` written.
     """
     from pathlib import Path  # only this rare path needs it

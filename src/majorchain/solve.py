@@ -37,18 +37,17 @@ where it reaches its cap.  The upper side is the same against B, capped
 by what the lower gaps leave of the gaps to come.  So once the search
 enters a pair's first part, what follows depends only on that position,
 on ca and on the two residual bounds.
-A memo maps each such state whose sub-search was exhausted to the nodes it
-spent; entering a state with the same position, ca and bounds again
-charges those nodes and backtracks at once, or aborts with ``nodes`` equal
-to the budget when they would pass it, as the full re-search would.  Only
-exhausted sub-searches are stored, since one that finds a splitting or
-aborts ends the search.  Outcomes, certificates and node counts at every
-budget are therefore those of the search without the memo.  Past
-``_MEMO_BYTES`` the caches that make keys cheap are dropped first (see
-``_Memo``), and then whole pair memos are cleared, deepest pair first, down
-to half of it, since the states nearest the root save the most.  A trace
-lists the nodes tried and the memo hits, so its hash depends on this
-policy.
+A memo holds each such state whose sub-search was exhausted; entering a
+state with the same position, ca and bounds again backs up at once, for no
+node.  Only exhausted sub-searches are stored, since one that finds a
+splitting or aborts ends the search.  So the search tries the values of the
+search without the memo, in the same order, less the whole sub-searches its
+hits skip: outcomes and certificates are that search's, and ``nodes``, the
+values tried, is at most its count.  Past ``_MEMO_BYTES`` the caches that
+make keys cheap are dropped first (see ``_Memo``), and then whole pair
+memos are cleared, deepest pair first, down to half of it, since the states
+nearest the root save the most.  A trace lists the values tried, so its
+hash and ``nodes`` depend on this policy.
 
 The direct chain search also clamps each position's window by mass: every
 solution has sum deg*|beta_f| == |c+| + sum deg*|alpha_f|, because under the
@@ -100,11 +99,8 @@ _MEMO_BYTES = 4 << 20
 class SolveReport(_Value, fields=("outcome", "certificate", "nodes", "budget", "space_size")):
     """Outcome of one search.
 
-    ``nodes`` is the node count of the search without the splitting
-    search's memo: one per candidate value tried, where a memo hit charges
-    the nodes of the exhausted sub-search it stands for, so the values
-    actually tried can be far fewer (on the deep corpus, 456,591 for
-    1,572,611 counted nodes).  ``budget`` caps that count.  ``space_size``
+    ``nodes`` is the number of candidate values the search tried, and
+    ``budget`` caps it, so it bounds the search's work.  ``space_size``
     is the raw number of value combinations in the unpruned search box,
     recorded so aborted reports still convey how large the task was.
     """
@@ -198,9 +194,10 @@ def _lower_reach(v, j, neg_d, sums):
 class _Memo:
     """Exhausted sub-searches of one splitting search, keyed by the state at a pair's first part.
 
-    ``entries[i]`` maps the key of a state at pair i's first part to the nodes its exhausted
-    sub-search spent.  The key holds ca and the lower and upper residual bounds (see the
-    module docstring).  A key is made only where it is looked up, in a pair whose memo holds
+    ``entries[i]`` holds the keys of the states at pair i's first part whose sub-search was
+    exhausted, as a dict whose values are unused, since a set grows fourfold at a time, which
+    can take it past the bound that the charges below keep.  The key holds ca and the lower
+    and upper residual bounds (see the module docstring).  A key is made only where it is looked up, in a pair whose memo holds
     an entry, or stored.  A side's bounds depend only on that side's committed gaps, so
     ``caches[i]`` maps pair i's committed lower (upper) gaps to their bounds.  A miss composes
     them from the bounds of the nearest earlier first part on the current path whose bounds
@@ -235,12 +232,12 @@ class _Memo:
         self.pack, self.unit = (bytes, 1) if narrow else (tuple, 32)
 
     def look_up(self, i, pos, ca, lower_gaps, upper_gaps, stack):
-        """Key and stored nodes of the state entering pair i, or Nones where its pair has none."""
+        """Key of the state entering pair i: None where its pair has none, False where stored."""
         self.known[i] = None
         if not self.entries[i]:
-            return None, None
+            return None
         key = self.key(i, pos, ca, lower_gaps, upper_gaps, stack)
-        return key, self.entries[i].get(key)
+        return False if key in self.entries[i] else key
 
     def key(self, i, pos, ca, lower_gaps, upper_gaps, stack):
         """Key of the state at pair i's first part, at position ``pos``; sets ``known[i]``."""
@@ -286,8 +283,8 @@ class _Memo:
             return b"%c%c%b%b" % (ca, len(lower), lower, upper)
         return (ca, len(lower), *lower, *upper)
 
-    def store(self, i, key, spent: int) -> None:
-        self.entries[i][key] = spent
+    def store(self, i, key) -> None:
+        self.entries[i][key] = None
         size = self.unit * len(key) + 100
         self.charged[i] += size
         self._charge(size)
@@ -340,12 +337,11 @@ class _SplitSearch:
     committed gaps' :func:`_room`, so A's room caps hi at t[j] plus it, and
     B's raises the bottom to d[j] less it, since v - t[j] grows with v and
     d[j] - v shrinks.  Every value tried is committed, for one node.  A
-    memo hit at a pair's first part (see the module docstring) charges the
-    nodes of that exhausted sub-search at once and tries no value there.
+    memo hit at a pair's first part (see the module docstring) tries no
+    value there and backs up at once, for no node.
 
     :func:`search_trace_hash` passes a ``trace`` (a hashlib object), and
-    ``run`` feeds it ``b"<position>:<value>;"`` for every node and
-    ``b"<position>=<charged nodes>;"`` for every memo hit it charges.
+    ``run`` feeds it ``b"<position>:<value>;"`` for every node.
     """
 
     def __init__(self, inst: LemmaInstance, w: int, trace=None):
@@ -394,7 +390,8 @@ class _SplitSearch:
         lower_gaps: list[int] = []  # committed gaps, ascending
         upper_gaps: list[int] = []
         memo = None  # made at the first store, since nothing can be looked up before it
-        opened = [None] * num_positions  # (key, nodes before it) of each first part being searched
+        # Key of each first part being searched, None until made; False where nothing is stored.
+        opened = [False] * num_positions
         # One frame per committed position: its value, window top, ca before it, and gaps.
         stack = []
         nodes = pos_idx = ca = 0
@@ -413,19 +410,11 @@ class _SplitSearch:
                 goal = top - rest
                 value = goal if goal > tj else tj
                 if not j:
-                    key = spent = None
+                    key = None
                     if memo is not None:
-                        key, spent = memo.look_up(i, pos_idx, ca, lower_gaps, upper_gaps, stack)
-                    if spent is None:
-                        opened[pos_idx] = key, nodes
-                    else:
-                        # Exhausted before: charge its nodes, as re-searching it would.
-                        if nodes + spent > cap:
-                            return ABORTED, None, cap
-                        nodes += spent
-                        if trace is not None:
-                            trace.update(b"%d=%d;" % (pos_idx, spent))
-                        opened[pos_idx] = None
+                        key = memo.look_up(i, pos_idx, ca, lower_gaps, upper_gaps, stack)
+                    opened[pos_idx] = key
+                    if key is False:  # exhausted before: back up at once, for no node
                         value = hi + 1
                 if tj < hi and value <= hi:  # the lower gap v - t[j] grows with v: cap hi
                     end = tj + _room(pre_a, lower_gaps)
@@ -450,14 +439,13 @@ class _SplitSearch:
                 # The window is exhausted: undo the previous position and try its next value.
                 if not stack:
                     return NO_SOLUTION, None, nodes
-                entry = opened[pos_idx]
-                if entry:
-                    key, start = entry
+                key = opened[pos_idx]
+                if key is not False:
                     if memo is None:
                         memo = _Memo(self)
                     if key is None:
                         key = memo.key(i, pos_idx, ca, lower_gaps, upper_gaps, stack)
-                    memo.store(i, key, nodes - start)
+                    memo.store(i, key)
                 value, hi, ca, gap_lower, gap_upper = stack.pop()
                 if gap_lower:
                     lower_gaps.remove(gap_lower)
@@ -678,7 +666,7 @@ def search_trace_hash(inst: LemmaInstance, budget: int = DEFAULT_BUDGET) -> str:
     Reruns the (deterministic) search for its trace alone, unverified; used
     when serializing a tripwire report so the exact explored tree is pinned.
     It is the search that solved, memo included, so it costs what the solve
-    cost; each memo hit stands in the trace for the sub-search it charges.
+    cost and holds one entry per node.
     """
     import hashlib  # only this trace needs it, and it is costly to load
 

@@ -139,6 +139,17 @@ class TestSolve:
         code, payload = run(capsys, ["solve", "--mode", "lemma", "--instance", instance])
         assert code == 1 and payload["outcome"] == "none" and payload["nodes"] == 0
 
+    def test_a_search_its_memo_cuts_short_exits_0(self, capsys, tmp_path):
+        # 60 pairs d = (2), premise true: the search tries 1,771 values, where the search
+        # without its memo would try about 4.1e12.
+        instance = write(
+            tmp_path,
+            "sixty.json",
+            {"pairs": [{"d": [2], "t": []}] * 60, "A": [1] * 59, "B": [2] * 30 + [1]},
+        )
+        code, payload = run(capsys, ["solve", "--mode", "lemma", "--instance", instance])
+        assert code == 0 and payload["outcome"] == "found" and payload["nodes"] == 1771
+
     def test_budget_exceeded_exits_3(self, capsys, tmp_path):
         instance = write(
             tmp_path,

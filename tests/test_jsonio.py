@@ -151,6 +151,13 @@ class TestCertificateAndReportFormats:
             jsonio.parse_solve_report(obj)
         return err.value
 
+    def test_aborted_report_below_its_budget_rejected(self):
+        # Both searches abort only once their nodes reach the budget.
+        obj = {**self.REPORT, "outcome": "aborted", "nodes": 3, "budget": 10}
+        assert self.rejection(obj).path == "$.nodes"
+        obj = {**obj, "nodes": 10}
+        assert jsonio.parse_solve_report(obj).nodes == 10
+
     def test_found_report_without_certificate_rejected(self):
         assert self.rejection({**self.REPORT, "outcome": "found"}).path == "$.certificate"
 
@@ -239,9 +246,9 @@ class TestContradictionArtifact:
         assert len(payload["trace_sha256"]) == 64
 
     def test_the_trace_costs_what_the_solve_cost(self):
-        # 60 single-part pairs, premise true: the solve charges most of its nodes from the memo.
-        # A trace that re-searched them would take seconds at budget 10**6 and about 400 days
-        # at 10**13, where the solve finds a splitting.
+        # 60 single-part pairs, premise true: the solve finds a splitting in 1,771 values, since
+        # its memo skips most of the search without it, which tries about 4.1e12 values first.
+        # The trace runs the same search, memo included, so it costs what the solve cost.
         inst = LemmaInstance(
             tuple((Partition([2]), Partition([])) for _ in range(60)),
             Partition([1] * 59),

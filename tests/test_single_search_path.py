@@ -129,7 +129,7 @@ def lower_prefix_cut_instance():
 
 
 def memo_hit_instance():
-    # The 21-node instance whose last memo hit meets a budget of 21 exactly.
+    # A 19-node instance that ends with a memo hit.
     return LemmaInstance(
         (
             (Partition([3, 1]), Partition([1])),
@@ -165,35 +165,29 @@ class TestOneDescent:
         [
             (
                 10**6,
-                b"0:1;1:0;2:0;3:2;2:1;3:1;2:2;1:1;2:0;2:1;3=0;"
-                b"0:2;1:0;2:0;3=1;2:1;3:0;1:1;2:0;3=0;"
-                b"0:3;1:0;2=1;",
+                b"0:1;1:0;2:0;3:2;2:1;3:1;2:2;1:1;2:0;2:1;"
+                b"0:2;1:0;2:0;2:1;3:0;1:1;2:0;"
+                b"0:3;1:0;",
             ),
             (
-                20,
-                b"0:1;1:0;2:0;3:2;2:1;3:1;2:2;1:1;2:0;2:1;3=0;"
-                b"0:2;1:0;2:0;3=1;2:1;3:0;1:1;2:0;3=0;"
-                b"0:3;1:0;",
+                18,
+                b"0:1;1:0;2:0;3:2;2:1;3:1;2:2;1:1;2:0;2:1;"
+                b"0:2;1:0;2:0;2:1;3:0;1:1;2:0;"
+                b"0:3;",
             ),
         ],
         ids=["whole", "aborted"],
     )
-    def test_a_memo_hit_costs_one_trace_entry(self, budget, trace):
+    def test_a_memo_hit_costs_no_node_and_no_trace_entry(self, budget, trace):
         # Positions 2 and 3 open the second and third pairs.  A state with the totals and
-        # residual bounds of one whose sub-search was exhausted is a memo hit: one
-        # "<position>=<charged nodes>;" entry, also where that sub-search's window was empty
-        # and it tried no value.  Some hits meet different committed gaps, as the first "3=0;"
-        # does: after 0:1;1:1;2:1 the lower gaps are {1, 1}, where after 0:1;1:0;2:2, whose
-        # sub-search it charges, they were {2}.  At budget 20 the last hit, "2=1;", would pass
-        # the budget, so the search aborts without its entry.
+        # residual bounds of one whose sub-search was exhausted is a memo hit: the search
+        # backs up at once, for no node and no trace entry, also where that sub-search's window
+        # was empty and it tried no value.  Some hits meet different committed gaps, as the
+        # first does, after 0:1;1:1;2:1: the lower gaps are {1, 1}, where after 0:1;1:0;2:2,
+        # whose sub-search it skips, they were {2}.
         report = solve_lemma(memo_hit_instance(), budget=budget)
-        entries = trace.split(b";")[:-1]
-        counted = sum(int(entry.partition(b"=")[2] or 1) for entry in entries)
-        if report.outcome == "aborted":
-            # Every node up to the budget is in the trace; the hit that would pass it is not.
-            assert report.nodes == budget == counted
-        else:
-            assert report.nodes == counted
+        assert report.nodes == len(trace.split(b";")) - 1
+        assert report.outcome == ("aborted" if budget == 18 else "none")
         assert search_trace_hash(memo_hit_instance(), budget) == hashlib.sha256(trace).hexdigest()
 
     @pytest.mark.parametrize("budget", [0, 1, 2, 3])

@@ -1,6 +1,6 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each of the 64 mutants is one exact text edit to one file under ``src/``:
+Each of the 62 mutants is one exact text edit to one file under ``src/``:
 a search cut or clamp dropped or tightened, the splitting search's root
 totals test dropped, or kept without its divisibility half or without
 the factor w, either prefix bound dropped, the lower one a unit high or
@@ -14,9 +14,8 @@ keeping the popped lower gap, the splitting
 search's memo keyed without the upper bounds (as bytes or as a tuple) or
 without the lower total, its upper room derived one unit off, its
 residual bounds composed one rank off, trimmed below their
-room or composed from an earlier pair's stale bounds, charging one node
-less per hit, aborting when a hit meets the budget exactly, left out of
-the trace or cleared from the root pair down, the direct backtrack not
+room or composed from an earlier pair's stale bounds, counting a node
+for a hit or cleared from the root pair down, the direct backtrack not
 restoring the mass, each verifier condition forced true, the
 splitting verifier's one-pass bounds test without its length test or
 either of its halves, its pooled gaps left unscaled by w, the totals
@@ -230,29 +229,16 @@ MUTANTS = (
         "",
     ),
     (
-        "split-memo-hit-aborts-at-the-budget",
+        "split-memo-hit-counts-a-node",
         SOLVE,
-        "if nodes + spent > cap:",
-        "if nodes + spent >= cap:",
-    ),
-    (
-        "split-trace-skips-memo-hit",
-        SOLVE,
-        '                        if trace is not None:\n'
-        '                            trace.update(b"%d=%d;" % (pos_idx, spent))\n',
-        "",
+        "                        value = hi + 1\n",
+        "                        value = hi + 1\n                        nodes += 1\n",
     ),
     (
         "split-memo-evicts-from-the-root",
         SOLVE,
         "for k in reversed(range(len(self.entries))):",
         "for k in range(len(self.entries)):",
-    ),
-    (
-        "split-memo-hit-charges-one-node-less",
-        SOLVE,
-        "                        nodes += spent\n",
-        "                        nodes += spent - 1\n",
     ),
     (
         "chain-top-clamp-dropped",
