@@ -21,8 +21,9 @@ message names the JSON path of the offending element.  Parts, chain
 exponents and factor degrees are capped at the signed 64-bit maximum:
 anything larger is a parse error, never a silent wrap, and the sums and
 products of them that a command prints stay far below the limit on
-printing integers described next.  Malformed text, and text nested too
-deeply for the parser, is an :class:`InputError` too.  A partition, and a
+printing integers described next.  Malformed text, text nested too deeply
+for the parser, and an integer literal with more digits than that limit
+allows, are an :class:`InputError` too.  A partition, and a
 chain factor's exponents, are first checked whole with C builtins: every
 item of class ``int``, each adjacent pair in order, and both ends within
 0..``MAX_PART``.  Only an array that fails that check walks the
@@ -50,6 +51,7 @@ each value has one form whatever the interpreter's limit is set to.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from operator import ge, le
 
@@ -86,6 +88,12 @@ def load_json(text: str) -> object:
         ) from exc
     except RecursionError as exc:
         raise InputError("JSON nested too deeply to parse", path="") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise InputError(
+            f"an integer literal has more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's limit for integer string conversion",
+            path="",
+        ) from exc
 
 
 def dumps(obj: object) -> str:

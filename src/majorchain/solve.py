@@ -36,7 +36,8 @@ is kept up to the smaller of the two.  R never decreases, and it ends
 where it reaches its cap.  The upper side is the same against B, capped
 by what the lower gaps leave of the gaps to come.  So once the search
 enters a pair's first part, what follows depends only on that position,
-on ca and on the two residual bounds.
+on ca and on the two residual bounds, and a memo miss computes each
+side's bounds from that side's committed gaps (``_bounds``).
 A memo holds each such state whose sub-search was exhausted; entering a
 state with the same position, ca and bounds again backs up at once, for no
 node.  Only exhausted sub-searches are stored, since one that finds a
@@ -147,30 +148,6 @@ def _sums_after(values) -> list[int]:
     return sums[1:]
 
 
-def _compose(bounds, gaps, width, room):
-    """Residual bounds R'(1..width) of a state once ``gaps`` are committed to one with ``bounds``.
-
-    With g the committed gaps, nonzero and descending, R'(j) = min(room, R(j),
-    R(j+1) - g1, R(j+2) - g1 - g2, ...).  Bounds are non-decreasing and end where they would
-    reach the state's room; the ranks past their end are at least that room, so each such
-    term is at least ``room`` and the result ends no later than ``bounds``.
-    """
-    out = [bound if bound < room else room for bound in bounds[:width]]
-    shift = drop = 0
-    for gap in gaps:
-        shift += 1
-        drop += gap
-        j = 0
-        for bound in bounds[shift : shift + width]:
-            bound -= drop
-            if bound < out[j]:
-                out[j] = bound
-            j += 1
-    while out and out[-1] == room:
-        out.pop()
-    return out
-
-
 def _room(pre, gaps) -> int:
     """The largest g whose addition keeps the top-r sums of ascending ``gaps`` within ``pre``.
 
@@ -178,6 +155,23 @@ def _room(pre, gaps) -> int:
     pre[k] - top_k(gaps) over k <= len(gaps), k < len(pre): R(1) of the module docstring, uncapped.
     """
     return min(map(sub, pre, accumulate(reversed(gaps), initial=0))) if gaps else pre[0]
+
+
+def _bounds(pre, gaps, width, room) -> list[int]:
+    """One side's residual bounds R(1..width) from its ascending committed ``gaps``.
+
+    R(j) is the least of ``room`` and of pre[k + j - 1] - top_k(gaps) over k <= len(gaps) with
+    k + j <= len(pre), for j up to len(pre).  It never decreases, so it ends at the first rank
+    where it reaches ``room``.
+    """
+    tops = list(accumulate(reversed(gaps), initial=0))
+    out = []
+    for j in range(min(width, len(pre))):
+        bound = min(map(sub, pre[j:], tops))
+        if bound >= room:
+            break
+        out.append(bound)
+    return out
 
 
 def _lower_reach(v, j, neg_d, sums):
@@ -197,14 +191,10 @@ class _Memo:
     ``entries[i]`` holds the keys of the states at pair i's first part whose sub-search was
     exhausted, as a dict whose values are unused, since a set grows fourfold at a time, which
     can take it past the bound that the charges below keep.  The key holds ca and the lower
-    and upper residual bounds (see the module docstring).  A key is made only where it is looked up, in a pair whose memo holds
-    an entry, or stored.  A side's bounds depend only on that side's committed gaps, so
-    ``caches[i]`` maps pair i's committed lower (upper) gaps to their bounds.  A miss composes
-    them from the bounds of the nearest earlier first part on the current path whose bounds
-    are ``known`` (A's and B's prefix tables before the first pair) and the gaps committed
-    since, which the stack frames hold; ``look_up`` forgets ``known[i]`` as the search enters
-    pair i.  Composing costs O(bounds * gaps) where computing afresh would cost
-    O(bounds * committed gaps).
+    and upper residual bounds (see the module docstring).  A key is made only where it is
+    looked up, in a pair whose memo holds an entry, or stored.  A side's bounds depend only on
+    that side's committed gaps, so ``caches[i]`` maps pair i's committed lower (upper) gaps to
+    their bounds, and a miss computes them from those gaps with :func:`_bounds`.
 
     Gaps, bounds and keys are ``bytes`` while |A|//w, |B|//w and len(A), which bound every
     value and the lower bounds' length, fit in a byte, and tuples otherwise.  Each entry is
@@ -218,12 +208,7 @@ class _Memo:
     def __init__(self, search):
         self.search = search
         pairs = len(search.floors)
-        self.first = [0] * pairs  # position of each pair's first part
-        for pos, step in enumerate(search.steps):
-            if not step[1]:
-                self.first[step[0]] = pos
         self.entries = [{} for _ in range(pairs)]
-        self.known = [None] * pairs
         self.caches = [None] * pairs
         self.charged = [0] * pairs  # bytes of each pair's entries
         self.cached = 0  # bytes of all the caches
@@ -231,17 +216,16 @@ class _Memo:
         narrow = max(search.limit_a, search.limit_b, len(search.pre_a)) < 256
         self.pack, self.unit = (bytes, 1) if narrow else (tuple, 32)
 
-    def look_up(self, i, pos, ca, lower_gaps, upper_gaps, stack):
+    def look_up(self, i, pos, ca, lower_gaps, upper_gaps):
         """Key of the state entering pair i: None where its pair has none, False where stored."""
-        self.known[i] = None
         if not self.entries[i]:
             return None
-        key = self.key(i, pos, ca, lower_gaps, upper_gaps, stack)
+        key = self.key(i, pos, ca, lower_gaps, upper_gaps)
         return False if key in self.entries[i] else key
 
-    def key(self, i, pos, ca, lower_gaps, upper_gaps, stack):
-        """Key of the state at pair i's first part, at position ``pos``; sets ``known[i]``."""
-        search, pack, known = self.search, self.pack, self.known
+    def key(self, i, pos, ca, lower_gaps, upper_gaps):
+        """Key of the state at pair i's first part, at position ``pos``."""
+        search, pack = self.search, self.pack
         caches = self.caches[i]
         if caches is None:
             caches = self.caches[i] = {}, {}
@@ -251,13 +235,6 @@ class _Memo:
         lower = lower_cache.get(lower_key)
         upper = upper_cache.get(upper_key)
         if lower is None or upper is None:
-            back = i - 1
-            while back >= 0 and known[back] is None:
-                back -= 1
-            if back < 0:
-                lower_base, upper_base, frames = search.pre_a, search.pre_b, stack
-            else:
-                (lower_base, upper_base), frames = known[back], stack[self.first[back] :]
             later = len(search.steps) - pos
             # The upper gaps from pos on take what the lower ones leave of those positions' gaps.
             _, _, dj, tj, rest, _, _ = search.steps[pos]
@@ -265,20 +242,15 @@ class _Memo:
             room_b = dj - tj + rest - room_a
             size = 0
             if lower is None:
-                gaps = sorted([frame[3] for frame in frames if frame[3]], reverse=True)
-                width = min(later, len(search.pre_a))
-                lower = pack(_compose(lower_base, gaps, width, room_a))
+                lower = pack(_bounds(search.pre_a, lower_gaps, later, room_a))
                 lower_cache[lower_key] = lower
                 size += self.unit * (len(lower_key) + len(lower)) + 100
             if upper is None:
-                gaps = sorted([frame[4] for frame in frames if frame[4]], reverse=True)
-                width = min(later, len(search.pre_b))
-                upper = pack(_compose(upper_base, gaps, width, room_b))
+                upper = pack(_bounds(search.pre_b, upper_gaps, later, room_b))
                 upper_cache[upper_key] = upper
                 size += self.unit * (len(upper_key) + len(upper)) + 100
             self.cached += size
             self._charge(size)
-        known[i] = lower, upper
         if pack is bytes:
             return b"%c%c%b%b" % (ca, len(lower), lower, upper)
         return (ca, len(lower), *lower, *upper)
@@ -412,7 +384,7 @@ class _SplitSearch:
                 if not j:
                     key = None
                     if memo is not None:
-                        key = memo.look_up(i, pos_idx, ca, lower_gaps, upper_gaps, stack)
+                        key = memo.look_up(i, pos_idx, ca, lower_gaps, upper_gaps)
                     opened[pos_idx] = key
                     if key is False:  # exhausted before: back up at once, for no node
                         value = hi + 1
@@ -444,7 +416,7 @@ class _SplitSearch:
                     if memo is None:
                         memo = _Memo(self)
                     if key is None:
-                        key = memo.key(i, pos_idx, ca, lower_gaps, upper_gaps, stack)
+                        key = memo.key(i, pos_idx, ca, lower_gaps, upper_gaps)
                     memo.store(i, key)
                 value, hi, ca, gap_lower, gap_upper = stack.pop()
                 if gap_lower:

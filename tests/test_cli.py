@@ -641,6 +641,16 @@ class TestInputsBeyondTheInterpreter:
         assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    def test_an_integer_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        # json.dumps cannot write the literal under the same limit, so the text is written as is.
+        path = tmp_path / "digits.json"
+        path.write_text('{"pairs": [], "A": [' + "9" * 5000 + '], "B": []}', encoding="utf-8")
+        code = cli_dispatch(["check", "--mode", "lemma", "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("input error: an integer literal has more than 4300 digits")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv",
         [

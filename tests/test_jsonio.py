@@ -233,6 +233,13 @@ class TestMalformedJson:
         message = str(err.value)
         assert "line 2" in message and "column" in message
 
+    def test_an_integer_past_the_digit_limit_is_an_input_error(self):
+        # CPython's json raises a plain ValueError for it; the text is malformed input all the same.
+        with pytest.raises(InputError) as err:
+            jsonio.load_json('{"pairs": [], "A": [' + "9" * 5000 + '], "B": []}')
+        assert err.value.path == ""
+        assert str(err.value).startswith("an integer literal has more than 4300 digits")
+
 
 class TestContradictionArtifact:
     def test_helper_writes_instance_report_and_trace(self, tmp_path):

@@ -13,7 +13,8 @@ as ``none`` for 0 nodes, which the oracles confirm on a seeded sample.
 Past that test mass and both prefix checks are bounds of each window, not
 per-node cuts, so no node is a value that cannot reach both totals or that
 breaks a prefix check: the room that bounds a gap is checked against
-brute-force top-r sums, and every value of replayed traces against both
+brute-force top-r sums, the memo's residual bounds against their
+definition, and every value of replayed traces against both
 prefix tables.  The other tests check every search step and the lower
 reach it yields against brute-force sums, that the search's set-up allocates O(positions) however large or many the parts are, and,
 for every deep-corpus instance, the outcome and certificate recorded in
@@ -23,7 +24,8 @@ search tries are those of a search whose memo never hits, less whole
 sub-searches below a pair's first part, with the same outcome and
 certificate, and a hit costs no node and no trace entry, so a report at any
 budget is either aborted there or the whole one.  That holds also when the
-memo is cleared at its memory bound, and the memo keeps to that bound;
+memo is cleared at its memory bound, and the memo keeps to that bound
+with bytes keys and with tuple keys;
 clearing drops the deepest pairs' memos first, so a search that fills it
 often stays fast.  Its key is the position, the lower gap total and each
 side's residual bounds, so states whose committed gaps differ can share one
@@ -52,7 +54,7 @@ from majorchain import (
     weight,
 )
 from majorchain import solve
-from majorchain.solve import _lower_reach, _room, _SplitSearch
+from majorchain.solve import _bounds, _lower_reach, _room, _SplitSearch
 
 from helpers import oracle_lemma_solutions, oracle_scaled_solutions
 
@@ -419,26 +421,33 @@ def traced_peak(inst, budget):
 
 
 def test_the_memo_keeps_to_its_memory_bound(monkeypatch):
-    # 120 single-part pairs; A and B pool a splitting but for one unit moved from B to A.
+    # 120 single-part pairs; A and B pool a splitting but for one unit moved from B to A.  Scaled
+    # by 300, the totals pass a byte, so the keys are tuples, charged 32 bytes per element.
     ds = [1 + i % 4 for i in range(120)]
     lower = [(7 * i) % (d + 1) for i, d in enumerate(ds)]
     A = sorted((g for g in lower if g), reverse=True)
     B = sorted((d - g for d, g in zip(ds, lower) if d - g), reverse=True)
     A[0] += 1
     B[-1] -= 1
-    inst = LemmaInstance(
-        tuple((Partition([d]), Partition([])) for d in ds), Partition(A), Partition(B)
-    )
     bound = 128 * 2**10
     # The search's own tables and stack, and the entry stored after a clear.
     margin = 64 * 2**10
-    # 5,000 values let the unbounded memo grow well past bound + margin, to about 1.1 MB.
-    unbounded, unbounded_peak = traced_peak(inst, 5000)
-    assert unbounded_peak > bound + margin  # so the bound below is what holds the peak down
-    monkeypatch.setattr(solve, "_MEMO_BYTES", bound)
-    bounded, bounded_peak = traced_peak(inst, 5000)
-    assert bounded == unbounded
-    assert bounded_peak < bound + margin
+    for scale, pack in ((1, bytes), (300, tuple)):
+        inst = LemmaInstance(
+            tuple((Partition([scale * d]), Partition([])) for d in ds),
+            Partition([scale * part for part in A]),
+            Partition([scale * part for part in B]),
+        )
+        assert solve._Memo(_SplitSearch(inst, 1)).pack is pack
+        # 5,000 values let the unbounded memo grow well past bound + margin, to about 1.2 MB
+        # with bytes keys and 2 MB with tuples.
+        unbounded, unbounded_peak = traced_peak(inst, 5000)
+        assert unbounded_peak > bound + margin  # so the bound below holds the peak down
+        with monkeypatch.context() as patch:
+            patch.setattr(solve, "_MEMO_BYTES", bound)
+            bounded, bounded_peak = traced_peak(inst, 5000)
+        assert bounded == unbounded
+        assert bounded_peak < bound + margin, pack
 
 
 class RecordedTrace(list):
@@ -561,6 +570,46 @@ def test_the_prefix_room_is_the_largest_gap_that_fits():
             assert brute_fits(pre, gaps + [g]) == (g <= room), (pre, gaps, g)
         binding["no gaps" if not gaps else "rank 1" if room == pre[0] else "a deeper rank"] += 1
     assert min(binding.values()) > 200, binding
+
+
+def brute_bounds(pre, gaps, width, room):
+    """R(j) = min(room, pre[k + j - 1] - top_k(gaps)) over k <= len(gaps), k + j <= len(pre)."""
+    top = [0, *accumulate(sorted(gaps, reverse=True))]
+    out = []
+    for j in range(1, min(width, len(pre)) + 1):
+        bound = min(
+            [room] + [pre[k + j - 1] - top[k] for k in range(len(gaps) + 1) if k + j <= len(pre)]
+        )
+        if bound == room:
+            break
+        out.append(bound)
+    return out
+
+
+def test_residual_bounds_match_their_definition():
+    # Partition prefix tables floor-divided by w = 1, 2 or 3, committed gaps that fit them, drawn
+    # as for the prefix room, widths up to past len(pre), and rooms around the table's values.
+    rng = random.Random(20261037)
+    kinds = {"past the table": 0, "room binds": 0, "room free": 0}
+    for _ in range(3000):
+        w = rng.choice((1, 2, 3))
+        pre = [prefix // w for prefix in accumulate(random_partition(rng, 6, 6) or [0])]
+        gaps = []
+        for _ in range(rng.randint(0, 6)):
+            gap = rng.randint(1, 4)
+            if brute_fits(pre, gaps + [gap]):
+                gaps.append(gap)
+        gaps.sort()
+        width = rng.randint(1, len(pre) + 3)
+        room = rng.randint(0, pre[-1] + 2)
+        bounds = _bounds(pre, gaps, width, room)
+        assert bounds == brute_bounds(pre, gaps, width, room), (pre, gaps, width, room)
+        # Uncapped and at full width, rank 1 is the prefix room.
+        assert _bounds(pre, gaps, len(pre), pre[-1] + 1)[0] == _room(pre, gaps)
+        if width > len(pre):
+            kinds["past the table"] += 1
+        kinds["room binds" if len(bounds) < min(width, len(pre)) else "room free"] += 1
+    assert min(kinds.values()) > 200, kinds
 
 
 def test_every_value_the_search_tries_fits_both_prefix_tables():

@@ -1,6 +1,6 @@
 """Mutation gate: every listed mutant must make the fast test suites fail within 60 s.
 
-Each of the 62 mutants is one exact text edit to one file under ``src/``:
+Each of the 61 mutants is one exact text edit to one file under ``src/``:
 a search cut or clamp dropped or tightened, the splitting search's root
 totals test dropped, or kept without its divisibility half or without
 the factor w, either prefix bound dropped, the lower one a unit high or
@@ -13,9 +13,8 @@ search's prefix table of A left unscaled, the splitting backtrack
 keeping the popped lower gap, the splitting
 search's memo keyed without the upper bounds (as bytes or as a tuple) or
 without the lower total, its upper room derived one unit off, its
-residual bounds composed one rank off, trimmed below their
-room or composed from an earlier pair's stale bounds, counting a node
-for a hit or cleared from the root pair down, the direct backtrack not
+residual bounds computed one rank off or kept at their room,
+counting a node for a hit or cleared from the root pair down, the direct backtrack not
 restoring the mass, each verifier condition forced true, the
 splitting verifier's one-pass bounds test without its length test or
 either of its halves, its pooled gaps left unscaled by w, the totals
@@ -177,8 +176,8 @@ MUTANTS = (
     (
         "split-prefix-room-skips-rank-one",
         SOLVE,
-        "accumulate(reversed(gaps), initial=0)",
-        "accumulate(reversed(gaps))",
+        "return min(map(sub, pre, accumulate(reversed(gaps), initial=0)))",
+        "return min(map(sub, pre, accumulate(reversed(gaps))))",
     ),
     (
         "split-backtrack-keeps-popped-lower-gap",
@@ -211,22 +210,16 @@ MUTANTS = (
         "            room_b = dj - tj + rest - room_a - 1\n",
     ),
     (
-        "split-memo-bounds-composed-one-rank-off",
+        "split-memo-bounds-one-rank-off",
         SOLVE,
-        "    shift = drop = 0\n",
-        "    shift, drop = 1, 0\n",
+        "bound = min(map(sub, pre[j:], tops))",
+        "bound = min(map(sub, pre[j + 1:], tops))",
     ),
     (
-        "split-memo-bounds-trimmed-below-the-room",
+        "split-memo-bounds-kept-at-the-room",
         SOLVE,
-        "while out and out[-1] == room:",
-        "while out and out[-1] >= room - 1:",
-    ),
-    (
-        "split-memo-known-bounds-kept-on-entry",
-        SOLVE,
-        "        self.known[i] = None\n",
-        "",
+        "if bound >= room:",
+        "if bound > room:",
     ),
     (
         "split-memo-hit-counts-a-node",
